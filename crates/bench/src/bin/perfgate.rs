@@ -15,11 +15,10 @@
 //!    candidates with the communication-aware engine, suffix splicing
 //!    disabled (`Problem::with_suffix_splice(false)`),
 //! 4. **incremental** — the current default path (evaluation engine
-//!    v4): candidates re-place only their certified affected cone and
+//!    v3): candidates re-place only their certified affected cone and
 //!    splice the base recording's per-node segments and per-slot bus
-//!    timelines for everything outside it, cutting node chains early
-//!    at runtime-verified reconvergence points, falling back to the
-//!    PR 2 resume on ready-order divergence.
+//!    timelines for everything outside it, falling back to the PR 2
+//!    resume on ready-order divergence.
 //!
 //! Because the search is deterministic in everything except the
 //! wall-clock cutoff, more candidates per second directly buy more
@@ -73,34 +72,6 @@
 //! `candidate_rate_vs_pr3`). At 12 nodes the cone leaves most of the
 //! machine untouched and the engine's reuse is structural:
 //! `splice_candidate_rate_vs_pr3` carries the CI floor (1.2×).
-//!
-//! # The reconvergence gate
-//!
-//! The timing-aware reconvergence certificate (evaluation engine v4)
-//! attacks exactly the regime the splice gate documents as hopeless
-//! for v3: the **narrow machine** (the legacy 40 processes / 4 nodes /
-//! k = 3 paper workload), where a move node-chains most of the
-//! machine behind it and the cone covers nearly the whole suffix. A
-//! chain cut at a runtime-verified reconvergence point splices the
-//! rest of the node's recorded timeline instead of re-placing it.
-//! Both arms run the full default engine and differ only in
-//! [`Problem::with_reconvergence`] — a pure throughput knob (cuts are
-//! runtime-verified against the recording, so trajectories are
-//! bit-identical; `tests/reconv.rs` pins this).
-//!
-//! Measured reality (2026-08): on this dense workload the certificate
-//! is a **net loss** — 0.77–0.80× candidate rate vs the v3 cone.
-//! Chains cut succeed (~70–90% of attempted marks verify, arrival
-//! marks at ~91%), but each failed verification buys a full
-//! re-execute, the extended sweep taxes every candidate, and pending
-//! cuts blunt the bounded path's early pruning (spliced suffix
-//! completions are contingent until every mark verifies). That is why
-//! [`ScheduleOptions::reconvergence`] defaults **off** and the
-//! certificate is an opt-in for sparse, gap-rich systems.
-//! `reconv_speedup.reconv_candidate_rate_vs_off` therefore carries a
-//! **regression guard** floor (0.70×), not a speedup floor: it keeps
-//! the opt-in machinery from rotting below its measured envelope and
-//! documents the honest number the 1.10× aspiration did not reach.
 //!
 //! # The communication-heavy gate
 //!
@@ -190,15 +161,13 @@ use ftdes_model::time::Time;
 /// them) and a snapshot of every `FTDES_*` knob that can bend the
 /// numbers.
 fn environment_json() -> String {
-    const KNOBS: [&str; 12] = [
+    const KNOBS: [&str; 10] = [
         "FTDES_TIME_MS",
         "FTDES_SEEDS",
         "FTDES_THREADS",
         "FTDES_NO_PARALLEL",
         "RAYON_NUM_THREADS",
         "FTDES_NO_SPLICE",
-        "FTDES_RECONV",
-        "FTDES_NO_RECONV",
         "FTDES_MAX_CHECKPOINTS",
         "FTDES_SPLICE_METRICS",
         "FTDES_OCC_BACKEND",
@@ -260,17 +229,6 @@ const SPLICE_NODES: usize = 12;
 const SPLICE_FAULTS: u32 = 3;
 const SPLICE_SEEDS: u64 = 3;
 
-/// The reconvergence gate rides the **legacy narrow-machine workload**
-/// (40 processes / 4 nodes / k = 3) on purpose: that is the regime
-/// where a move node-chains most of the machine and the v3 cone has
-/// no suffix locality left — the regime the v4 chain cuts were built
-/// to recover. Measured, they do not pay here (0.77–0.80× candidate
-/// rate; see the module docs), so the floor on
-/// `reconv_candidate_rate_vs_off` is a regression guard for the
-/// opt-in machinery's overhead envelope, not a speedup claim.
-const RECONV_SEEDS: u64 = 3;
-const RECONV_FLOOR: f64 = 0.70;
-
 /// The occupancy gate workload ([`CommHeavyParams::stress`]: twenty-four
 /// edges per process, message/WCET ratio 3, k = 2 so replication
 /// multiplies the sends — thousands of messages fighting over
@@ -307,11 +265,11 @@ const MULTICORE_FLOOR_4W: f64 = 1.3;
 /// Execution order of the per-section subprocesses. With one fresh
 /// process per section the order no longer affects any ratio; the
 /// occupancy gate simply keeps its historical first slot.
-const SECTIONS: [&str; 6] = ["occ", "paper", "splice", "comm", "reconv", "multicore"];
+const SECTIONS: [&str; 5] = ["occ", "paper", "splice", "comm", "multicore"];
 
 /// Key order of the assembled `BENCH_tabu.json` (environment first
 /// for human readers; CI loads it as a dict and doesn't care).
-const ASSEMBLY: [&str; 6] = ["paper", "splice", "comm", "reconv", "occ", "multicore"];
+const ASSEMBLY: [&str; 5] = ["paper", "splice", "comm", "occ", "multicore"];
 
 #[derive(Debug, Default, Clone, Copy)]
 struct ModeTotals {
@@ -423,23 +381,6 @@ fn run_pr2(problem: &Problem, budget: Duration) -> Outcome {
         .with_flat_occupancy();
     optimize(&problem, Strategy::Mxr, &gate_config(budget))
         .unwrap_or_else(|e| panic!("perfgate pr2 search: {e}"))
-}
-
-/// The v3 engine on the reconvergence gate: the full default path
-/// with only the chain cuts disabled. Pinned explicitly (rather than
-/// through `FTDES_NO_RECONV`) so the arm is what it says regardless
-/// of the environment.
-fn run_reconv_off(problem: &Problem, budget: Duration) -> Outcome {
-    let problem = problem.clone().with_reconvergence(false);
-    optimize(&problem, Strategy::Mxr, &gate_config(budget))
-        .unwrap_or_else(|e| panic!("perfgate reconv-off search: {e}"))
-}
-
-/// The v4 engine on the reconvergence gate, cuts pinned on.
-fn run_reconv_on(problem: &Problem, budget: Duration) -> Outcome {
-    let problem = problem.clone().with_reconvergence(true);
-    optimize(&problem, Strategy::Mxr, &gate_config(budget))
-        .unwrap_or_else(|e| panic!("perfgate reconv-on search: {e}"))
 }
 
 /// The occupancy gate's search configuration: [`gate_config`] with
@@ -792,56 +733,6 @@ fn section_comm() -> String {
     )
 }
 
-/// The reconvergence gate section (narrow machine, cuts on vs off).
-fn section_reconv() -> String {
-    let budget = time_budget();
-    let mut off = ModeTotals::default();
-    let mut on = ModeTotals::default();
-    println!(
-        "perfgate (reconvergence): {PROCESSES} processes / {NODES} nodes / k = {FAULTS}, \
-         {RECONV_SEEDS} seeds, {budget:?} per run per mode"
-    );
-    ftdes_sched::incremental::metrics::enable();
-    for seed in 0..RECONV_SEEDS {
-        let problem = synthetic_problem(PROCESSES, NODES, FAULTS, Time::from_ms(5), seed);
-        let o = run_reconv_off(&problem, budget);
-        let n = run_reconv_on(&problem, budget);
-        println!(
-            "  seed {seed}: reconv-off {} iters / {} evals (+{} hits, {} pruned) | \
-             reconv-on {} iters / {} evals (+{} hits, {} pruned)",
-            o.stats.tabu_iterations,
-            o.stats.evaluations,
-            o.stats.cache_hits,
-            o.stats.pruned,
-            n.stats.tabu_iterations,
-            n.stats.evaluations,
-            n.stats.cache_hits,
-            n.stats.pruned,
-        );
-        off.add(&o);
-        on.add(&n);
-    }
-    let (cuts, failed) = ftdes_sched::incremental::metrics::reconv();
-    let cand_vs_off = ratio(on.candidates_per_sec(), off.candidates_per_sec());
-    let iter_vs_off = ratio(on.tabu_iterations as f64, off.tabu_iterations.max(1) as f64);
-    println!(
-        "reconvergence gate ({NODES} nodes), certificate on vs off: {iter_vs_off:.2}x tabu \
-         iterations, {cand_vs_off:.2}x candidate rate (floor {RECONV_FLOOR}x; \
-         {cuts} chains cut, {failed} cuts failed verification)"
-    );
-    format!(
-        "\"reconv_workload\": {{\"family\": \"paper\", \"processes\": {PROCESSES}, \
-         \"nodes\": {NODES}, \"k\": {FAULTS}, \"seeds\": {RECONV_SEEDS}, \
-         \"budget_ms\": {}}},\n  \"reconv_off\": {},\n  \"reconv\": {},\n  \
-         \"reconv_speedup\": {{\"tabu_iterations_vs_off\": {iter_vs_off:.2}, \
-         \"reconv_candidate_rate_vs_off\": {cand_vs_off:.2}, \
-         \"chains_cut\": {cuts}, \"cuts_failed\": {failed}, \"floor\": {RECONV_FLOOR}}}",
-        budget.as_millis(),
-        off.json(),
-        on.json(),
-    )
-}
-
 /// The multi-core portfolio sweep: fixed work per worker, wall-clock
 /// measured. `threads: 1` pins every worker's own evaluation to one
 /// thread so the sweep isolates seed-level (portfolio) parallelism
@@ -923,7 +814,6 @@ fn run_section(name: &str) -> Option<String> {
         "paper" => section_paper(),
         "splice" => section_splice(),
         "comm" => section_comm(),
-        "reconv" => section_reconv(),
         "multicore" => section_multicore(),
         _ => return None,
     })

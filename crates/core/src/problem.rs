@@ -32,24 +32,6 @@ fn splice_enabled_by_env() -> bool {
     })
 }
 
-/// Whether the timing-aware reconvergence certificate is enabled by
-/// default: off — the cut machinery's sweep and verification overhead
-/// measures as a net loss on the dense gate workloads (see perfgate's
-/// reconvergence section) — unless the `FTDES_RECONV` opt-in is set
-/// (to anything but `0`). The `FTDES_NO_RECONV` kill switch wins over
-/// the opt-in. Read once.
-fn reconv_enabled_by_env() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        let set = |name: &str| {
-            std::env::var(name)
-                .map(|v| v != "0" && !v.is_empty())
-                .unwrap_or(false)
-        };
-        set("FTDES_RECONV") && !set("FTDES_NO_RECONV")
-    })
-}
-
 /// The `FTDES_MAX_CHECKPOINTS` override of the checkpoint move axis
 /// (`None` when unset/unparsable). Read once.
 fn max_checkpoints_env() -> Option<u32> {
@@ -164,7 +146,6 @@ impl Problem {
             constraints: DesignConstraints::free(n),
             options: ScheduleOptions {
                 suffix_splice: splice_enabled_by_env(),
-                reconvergence: reconv_enabled_by_env(),
                 occupancy: occupancy_backend_env(),
                 priority: priority_strategy_env(),
                 ..ScheduleOptions::default()
@@ -272,28 +253,19 @@ impl Problem {
         self
     }
 
-    /// Toggles the **timing-aware reconvergence certificate**
-    /// (evaluation engine v4, [`ScheduleOptions::reconvergence`],
-    /// default off; `FTDES_RECONV` opts in, `FTDES_NO_RECONV` forces
-    /// off): the splice engine's affected-cone sweep cuts the
-    /// structural node chain wherever a perturbed node's availability
-    /// delta is provably absorbed by a recorded idle gap, and the
-    /// executor verifies each cut against the recording at runtime
-    /// (falling back to the checkpoint replay when a verification
-    /// fails). Pure throughput knob — spliced costs remain
-    /// bit-identical to full placement either way (guarded by
-    /// `tests/reconv.rs`); `false` gives the v3 structural-only cone
-    /// for perf ablations.
-    #[must_use]
-    pub fn with_reconvergence(mut self, enabled: bool) -> Self {
-        self.options.reconvergence = enabled;
-        self
-    }
-
     /// The scheduler switches evaluations of this problem run with.
     #[must_use]
     pub fn schedule_options(&self) -> ScheduleOptions {
         self.options
+    }
+
+    /// Replaces every scheduler switch at once — how a derived
+    /// problem (the post-delta problem of a repair) inherits its
+    /// parent's switches without re-listing each builder.
+    #[must_use]
+    pub(crate) fn with_schedule_options(mut self, options: ScheduleOptions) -> Self {
+        self.options = options;
+        self
     }
 
     /// Sets designer constraints (builder style).

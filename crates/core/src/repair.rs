@@ -68,9 +68,9 @@ use crate::tabu::tabu_search_mpa_with;
 /// the unchanged architecture and bus, with designer constraints
 /// remapped to the new id space (a mapping constraint pinning a
 /// process to a node that died is dropped — keeping it would make the
-/// process unplaceable by decree) and the engine knobs
-/// (checkpoint range, splice/lookahead/occupancy toggles) carried
-/// over.
+/// process unplaceable by decree) and the engine knobs (checkpoint
+/// range and every [`ScheduleOptions`](ftdes_sched::ScheduleOptions)
+/// switch) carried over.
 ///
 /// # Errors
 ///
@@ -96,7 +96,6 @@ pub fn apply_delta(
         }
     }
 
-    let opts = problem.schedule_options();
     let new = Problem::new(
         applied.graph.clone(),
         problem.arch().clone(),
@@ -106,11 +105,7 @@ pub fn apply_delta(
     )
     .with_max_checkpoints(problem.max_checkpoints())
     .with_constraints(constraints)
-    .with_comm_lookahead(opts.comm_lookahead)
-    .with_suffix_splice(opts.suffix_splice)
-    .with_reconvergence(opts.reconvergence)
-    .with_occupancy_backend(opts.occupancy)
-    .with_priority_strategy(opts.priority);
+    .with_schedule_options(problem.schedule_options());
     Ok((new, applied))
 }
 

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use ftdes_core::cache::EvalCache;
 use ftdes_core::config::SearchConfig;
 use ftdes_core::problem::Problem;
-use ftdes_core::repair::{repair_with_cache, RepairBudget};
+use ftdes_core::repair::{apply_delta, repair_with_cache, RepairBudget};
 use ftdes_core::strategy::Strategy;
 use ftdes_gen::paper_workload;
 use ftdes_model::architecture::Architecture;
@@ -21,6 +21,7 @@ use ftdes_model::delta::{DeltaOp, NewProcess, ProblemDelta};
 use ftdes_model::fault::FaultModel;
 use ftdes_model::ids::{NodeId, ProcessId};
 use ftdes_model::time::Time;
+use ftdes_sched::{OccupancyBackend, PriorityStrategy, ScheduleOptions};
 use ftdes_ttp::config::BusConfig;
 
 fn small_problem(processes: usize, nodes: usize, seed: u64) -> Problem {
@@ -107,6 +108,19 @@ proptest! {
             .expect("intact problem solves");
 
         let delta = make_delta(kind, processes, nodes, pct, which);
+
+        // The post-delta problem inherits every scheduler switch, not
+        // only the defaults: a problem tuned away from the default
+        // backend, priority and splice settings stays tuned.
+        let tuned = small_problem(processes, nodes, seed)
+            .with_occupancy_backend(OccupancyBackend::Flat)
+            .with_priority_strategy(PriorityStrategy::Mobility)
+            .with_suffix_splice(false);
+        prop_assert_ne!(tuned.schedule_options(), ScheduleOptions::default());
+        if let Ok((repaired, _)) = apply_delta(&tuned, &delta) {
+            prop_assert_eq!(repaired.schedule_options(), tuned.schedule_options());
+        }
+
         let budget = RepairBudget::from_total(Duration::from_millis(60));
         // A delta can make the problem unsolvable (e.g. removing the
         // only process); the bit-identity property applies to repairs

@@ -7,8 +7,10 @@
 //!   slot perturbation actually propagates), random walks of applied
 //!   moves and every candidate move at every step, a spliced
 //!   evaluation returns bit-identically the full `schedule_cost`
-//!   result — and the engine must actually engage (a splice that
-//!   always falls back would pass parity vacuously).
+//!   result under every occupancy backend, the backends agree with
+//!   each other candidate by candidate — and the engine must actually
+//!   engage (a splice that always falls back would pass parity
+//!   vacuously).
 //! * `spliced_bounded_classifies_exactly`: a spliced bounded run
 //!   completes exactly iff the exact cost is within the bound, and an
 //!   aborted run's certified lower bound never exceeds the exact cost.
@@ -21,7 +23,7 @@ use ftdes_gen::paper_workload;
 use ftdes_model::architecture::Architecture;
 use ftdes_model::fault::FaultModel;
 use ftdes_model::time::Time;
-use ftdes_sched::{CostOutcome, CostScratch, PlacementCheckpoints, ScheduleCost};
+use ftdes_sched::{CostOutcome, CostScratch, OccupancyBackend, PlacementCheckpoints, ScheduleCost};
 use ftdes_ttp::config::BusConfig;
 
 fn problem(processes: usize, nodes: usize, k: u32, seed: u64) -> Problem {
@@ -99,6 +101,13 @@ impl Rng {
     }
 }
 
+/// Every occupancy backend the parity walk runs under.
+const BACKENDS: [OccupancyBackend; 3] = [
+    OccupancyBackend::Bitmap,
+    OccupancyBackend::Indexed,
+    OccupancyBackend::Flat,
+];
+
 #[test]
 fn spliced_equals_full_for_random_move_sequences() {
     let problems = [
@@ -111,14 +120,13 @@ fn spliced_equals_full_for_random_move_sequences() {
         (checkpointed_problem(12, 3, 2, 17), "checkpointed/17"),
         (checkpointed_problem(14, 4, 3, 19), "checkpointed/19"),
     ];
-    for (problem, label) in problems {
-        let table = MoveTable::new(&problem, PolicySpace::Mixed);
-        if problem.max_checkpoints() > 1 {
+    for (base, label) in problems {
+        if base.max_checkpoints() > 1 {
             // The extension must not be vacuous: the walks below must
             // actually contain checkpoint-count moves.
-            let has_cp_moves = (0..problem.process_count()).any(|i| {
+            let has_cp_moves = (0..base.process_count()).any(|i| {
                 ftdes_core::moves::candidate_decisions(
-                    &problem,
+                    &base,
                     PolicySpace::Mixed,
                     ftdes_model::ids::ProcessId::new(i as u32),
                 )
@@ -127,84 +135,108 @@ fn spliced_equals_full_for_random_move_sequences() {
             });
             assert!(has_cp_moves, "{label}: no checkpoint moves in the table");
         }
-        let mut design = initial::initial_mpa(&problem, PolicySpace::Mixed).unwrap();
-        let mut rng = Rng(42);
-        let mut scratch = CostScratch::default();
-        let mut core = ftdes_sched::SchedScratch::default();
-        let mut ckpts = PlacementCheckpoints::new();
-        let mut window = Vec::new();
-        let mut engaged = 0usize;
-        let mut fallbacks = 0usize;
+        // Full cost of every candidate along the walk, per backend:
+        // the backends must agree with each other, not only each with
+        // its own full placement.
+        let mut per_backend: Vec<Vec<ScheduleCost>> = Vec::new();
+        for backend in BACKENDS {
+            let problem = base.clone().with_occupancy_backend(backend);
+            let table = MoveTable::new(&problem, PolicySpace::Mixed);
+            let mut design = initial::initial_mpa(&problem, PolicySpace::Mixed).unwrap();
+            let mut rng = Rng(42);
+            let mut scratch = CostScratch::default();
+            let mut core = ftdes_sched::SchedScratch::default();
+            let mut ckpts = PlacementCheckpoints::new();
+            let mut window = Vec::new();
+            let mut costs = Vec::new();
+            let mut engaged = 0usize;
+            let mut fallbacks = 0usize;
 
-        // A random walk of applied moves; at every step, every
-        // candidate move of the current window is checked for parity.
-        for step in 0..8 {
-            let schedule = problem
-                .evaluate_recording(&design, &mut core, Some(&mut ckpts))
-                .unwrap();
-            let cp = schedule.move_candidates(problem.graph(), 8);
-            table.window(&design, &cp, &mut window);
-            if window.is_empty() {
-                break;
-            }
-            for mv in &window {
-                let mut cand = design.clone();
-                cand.set_decision(mv.process, table.decision(*mv).clone());
-                let full = problem.evaluate_cost(&cand, &mut scratch).unwrap();
-                let spliced = ftdes_sched::schedule_cost_spliced(
-                    problem.graph(),
-                    problem.arch(),
-                    problem.dense_wcet(),
-                    problem.fault_model(),
-                    problem.bus(),
-                    &cand,
-                    mv.process,
-                    problem.schedule_options(),
-                    &mut scratch,
-                    &ckpts,
-                    None,
-                )
-                .unwrap();
-                match spliced {
-                    Some(outcome) => {
-                        engaged += 1;
-                        assert_eq!(
-                            outcome,
-                            CostOutcome::Exact(full),
-                            "{label} step {step}: spliced evaluation diverged for {mv:?}"
-                        );
-                    }
-                    // Ready-order divergence: the engine must refuse,
-                    // and schedule_cost_resumed falls back — verify
-                    // the fallback agrees too.
-                    None => fallbacks += 1,
+            // A random walk of applied moves; at every step, every
+            // candidate move of the current window is checked for
+            // parity.
+            for step in 0..8 {
+                let schedule = problem
+                    .evaluate_recording(&design, &mut core, Some(&mut ckpts))
+                    .unwrap();
+                let cp = schedule.move_candidates(problem.graph(), 8);
+                table.window(&design, &cp, &mut window);
+                if window.is_empty() {
+                    break;
                 }
-                // The production entry point (splice with fallback)
-                // must agree as well.
-                let resumed = ftdes_sched::schedule_cost_resumed(
-                    problem.graph(),
-                    problem.arch(),
-                    problem.dense_wcet(),
-                    problem.fault_model(),
-                    problem.bus(),
-                    &cand,
-                    mv.process,
-                    problem.schedule_options(),
-                    &mut scratch,
-                    &ckpts,
-                    None,
-                )
-                .unwrap();
-                assert_eq!(resumed, CostOutcome::Exact(full), "{label} step {step}");
+                for mv in &window {
+                    let mut cand = design.clone();
+                    cand.set_decision(mv.process, table.decision(*mv).clone());
+                    let full = problem.evaluate_cost(&cand, &mut scratch).unwrap();
+                    costs.push(full);
+                    let spliced = ftdes_sched::schedule_cost_spliced(
+                        problem.graph(),
+                        problem.arch(),
+                        problem.dense_wcet(),
+                        problem.fault_model(),
+                        problem.bus(),
+                        &cand,
+                        mv.process,
+                        problem.schedule_options(),
+                        &mut scratch,
+                        &ckpts,
+                        None,
+                    )
+                    .unwrap();
+                    match spliced {
+                        Some(outcome) => {
+                            engaged += 1;
+                            assert_eq!(
+                                outcome,
+                                CostOutcome::Exact(full),
+                                "{label}/{backend:?} step {step}: spliced evaluation \
+                                 diverged for {mv:?}"
+                            );
+                        }
+                        // Ready-order divergence: the engine must
+                        // refuse, and schedule_cost_resumed falls
+                        // back — verify the fallback agrees too.
+                        None => fallbacks += 1,
+                    }
+                    // The production entry point (splice with
+                    // fallback) must agree as well.
+                    let resumed = ftdes_sched::schedule_cost_resumed(
+                        problem.graph(),
+                        problem.arch(),
+                        problem.dense_wcet(),
+                        problem.fault_model(),
+                        problem.bus(),
+                        &cand,
+                        mv.process,
+                        problem.schedule_options(),
+                        &mut scratch,
+                        &ckpts,
+                        None,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        resumed,
+                        CostOutcome::Exact(full),
+                        "{label}/{backend:?} step {step}"
+                    );
+                }
+                let mv = window[rng.below(window.len())];
+                design.set_decision(mv.process, table.decision(mv).clone());
             }
-            let mv = window[rng.below(window.len())];
-            design.set_decision(mv.process, table.decision(mv).clone());
+            assert!(
+                engaged > fallbacks,
+                "{label}/{backend:?}: splice engaged only {engaged} times ({fallbacks} \
+                 fallbacks) — the independence proof is firing too rarely to matter"
+            );
+            per_backend.push(costs);
         }
-        assert!(
-            engaged > fallbacks,
-            "{label}: splice engaged only {engaged} times ({fallbacks} fallbacks) — \
-             the independence proof is firing too rarely to matter"
-        );
+        for (backend, costs) in BACKENDS.iter().zip(&per_backend).skip(1) {
+            assert_eq!(
+                &per_backend[0], costs,
+                "{label}: {backend:?} and {:?} backends disagree",
+                BACKENDS[0]
+            );
+        }
     }
 }
 

@@ -57,7 +57,7 @@ use crate::slack::SlackAccount;
 /// excludes the local re-execution delay (added per consumer with the
 /// remaining budget), `spent` is the number of faults the adversary
 /// already invested to force this lateness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct FrontierEntry {
     pub(crate) finish: Time,
     pub(crate) spent: u32,
@@ -138,27 +138,6 @@ pub struct ScheduleOptions {
     /// `ftdes-core`), so search trajectories are invariant; disable
     /// to measure the PR 2/3 resumed path.
     pub suffix_splice: bool,
-    /// Cut the splice engine's structural node chain with the
-    /// **timing-aware reconvergence certificate** (evaluation engine
-    /// v4, default off): the recorder additionally captures each
-    /// placement's slack-account delay queries; the cone sweep then
-    /// cuts a chained process whenever every dirty node it depends on
-    /// shows a recorded idle gap exceeding the node's structural
-    /// inflation estimate, and the executor *verifies* at each cut
-    /// that the live node state observationally equals the recording
-    /// (availability absorbed by the gap, identical contingency
-    /// frontier, identical delay queries for every budget `<= k`; an
-    /// in-flight dependency mark instead compares live message
-    /// arrivals against the recording) before splicing the node's
-    /// recorded suffix. Verification failure falls back to the PR 2
-    /// resumed path, so costs stay bit-identical either way (guarded
-    /// by the `reconv.rs` parity tests in `ftdes-core`). Off by
-    /// default: on the dense gate workloads the extra sweep work,
-    /// verification failures and blunted bound pruning measure as a
-    /// net loss (perfgate's reconvergence section carries the honest
-    /// numbers); opt in (`FTDES_RECONV`, or
-    /// `Problem::with_reconvergence`) on sparse, gap-rich systems.
-    pub reconvergence: bool,
 }
 
 impl Default for ScheduleOptions {
@@ -169,7 +148,6 @@ impl Default for ScheduleOptions {
             occupancy: OccupancyBackend::default(),
             priority: PriorityStrategy::default(),
             suffix_splice: true,
-            reconvergence: false,
         }
     }
 }
@@ -220,20 +198,6 @@ pub struct SchedScratch {
     /// Working state of the certified bus-wait lower bound (bounded
     /// runs with [`ScheduleOptions::comm_lookahead`]).
     pub(crate) comm: CommLookahead,
-    /// Per-node WCET sums of *contingent* spliced work — placements
-    /// downstream of an unverified reconvergence cut, excluded from
-    /// `completion`-driven floors until every marker verifies but
-    /// still counted in the lookahead (spliced processes keep their
-    /// base mapping, so their instances execute on exactly their
-    /// recorded nodes in the true candidate). Appended after `comm`
-    /// so the pre-v4 field offsets stay put.
-    pub(crate) cont_sum: Vec<Time>,
-    /// Nodes whose *restored* prefix contains a contingent spliced
-    /// placement (an arrival-gambled process placed before the node's
-    /// first dirty position): the restored availability is itself
-    /// contingent, so floors on such nodes fall back to pure
-    /// work-sum terms until every cut verifies.
-    pub(crate) cont_tainted: Vec<bool>,
 }
 
 /// The certified bus-wait lower bound of bounded (early-exit) cost
@@ -633,7 +597,13 @@ pub fn list_schedule_recording<W: WcetLookup + ?Sized>(
     let expanded = ExpandedDesign::expand(graph, design, wcet, fm)?;
     let priorities = Priorities::compute(graph, &expanded, bus, options.priority)?;
     if let Some(ckpts) = ckpts.as_deref_mut() {
-        ckpts.begin(&expanded, &priorities, arch.node_count(), bus, fm, options);
+        ckpts.begin(
+            &expanded,
+            &priorities,
+            arch.node_count(),
+            bus,
+            options.suffix_splice,
+        );
     }
     let mut sink = Materialize {
         slots: vec![None; expanded.len()],
