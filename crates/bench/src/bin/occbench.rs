@@ -47,9 +47,7 @@
 use std::time::Duration;
 
 use ftdes_bench::{comm_heavy_problem_with, time_budget};
-use ftdes_core::{
-    effective_threads, optimize, Goal, OccupancyBackend, Outcome, Problem, SearchConfig, Strategy,
-};
+use ftdes_core::{optimize, Goal, OccupancyBackend, Outcome, Problem, SearchConfig, Strategy};
 use ftdes_gen::CommHeavyParams;
 use ftdes_model::time::Time;
 
@@ -192,8 +190,7 @@ fn main() -> std::process::ExitCode {
     let bitmap_vs_flat = ratio(bitmap.candidates_per_sec(), flat.candidates_per_sec());
     let indexed_vs_flat = ratio(indexed.candidates_per_sec(), flat.candidates_per_sec());
     let json = format!(
-        "{{\n  \"environment\": {{\"threads\": {}, \"occ_backend_knob\": {}, \
-         \"priority_knob\": {}}},\n  \
+        "{{\n  \"environment\": {},\n  \
          \"workload\": {{\"family\": \"comm_heavy_stress\", \"processes\": {PROCESSES}, \
          \"edge_density\": {}, \"msg_wcet_ratio\": {}, \"nodes\": {NODES}, \"k\": {FAULTS}, \
          \"seeds\": {seeds}, \"budget_ms\": {}}},\n  \
@@ -201,15 +198,7 @@ fn main() -> std::process::ExitCode {
          \"ratios\": {{\"bitmap_vs_indexed\": {bitmap_vs_indexed:.2}, \
          \"bitmap_vs_flat\": {bitmap_vs_flat:.2}, \
          \"indexed_vs_flat\": {indexed_vs_flat:.2}}}\n}}\n",
-        effective_threads(0),
-        match std::env::var("FTDES_OCC_BACKEND") {
-            Ok(v) => format!("\"{}\"", v.replace(['"', '\\'], "_")),
-            Err(_) => "null".into(),
-        },
-        match std::env::var("FTDES_PRIORITY") {
-            Ok(v) => format!("\"{}\"", v.replace(['"', '\\'], "_")),
-            Err(_) => "null".into(),
-        },
+        ftdes_bench::environment_json(),
         params.edge_density,
         params.msg_wcet_ratio,
         budget.as_millis(),

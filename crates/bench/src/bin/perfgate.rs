@@ -86,7 +86,8 @@
 //! 1. **pr2** — incremental + bounded exactly as PR 2 shipped it:
 //!    the certified bus-wait lower bound disabled
 //!    (`Problem::with_comm_lookahead(false)`) and bus messages booked
-//!    through the legacy flat tail scan (`Problem::with_flat_occupancy`),
+//!    through the legacy flat tail scan
+//!    (`Problem::with_occupancy_backend(OccupancyBackend::Flat)`),
 //!    whose whole-table rescan per overflowed round turns quadratic on
 //!    congested buses,
 //! 2. **incremental** — the current default: the per-(node, slot)
@@ -148,58 +149,11 @@ use std::time::Duration;
 
 use ftdes_bench::{comm_heavy_problem_with, synthetic_problem, time_budget};
 use ftdes_core::{
-    effective_threads, optimize, optimize_portfolio, Goal, Outcome, PolicySpace, PortfolioConfig,
-    Problem, SearchConfig, Strategy,
+    effective_threads, optimize, optimize_portfolio, Goal, OccupancyBackend, Outcome, PolicySpace,
+    PortfolioConfig, Problem, SearchConfig, Strategy,
 };
 use ftdes_gen::CommHeavyParams;
 use ftdes_model::time::Time;
-
-/// The measurement environment, recorded into `BENCH_tabu.json` so
-/// runs stay comparable across machines: the resolved worker-thread
-/// count (everything so far is measured on 1-CPU containers — a
-/// future multi-core validation run must be distinguishable from
-/// them) and a snapshot of every `FTDES_*` knob that can bend the
-/// numbers.
-fn environment_json() -> String {
-    const KNOBS: [&str; 10] = [
-        "FTDES_TIME_MS",
-        "FTDES_SEEDS",
-        "FTDES_THREADS",
-        "FTDES_NO_PARALLEL",
-        "RAYON_NUM_THREADS",
-        "FTDES_NO_SPLICE",
-        "FTDES_MAX_CHECKPOINTS",
-        "FTDES_SPLICE_METRICS",
-        "FTDES_OCC_BACKEND",
-        "FTDES_PRIORITY",
-    ];
-    // Minimal JSON string escaping (Rust's `escape_default` emits
-    // `\'`/`\u{..}` forms that are not valid JSON).
-    fn json_escape(v: &str) -> String {
-        let mut out = String::with_capacity(v.len());
-        for c in v.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-    let knobs: Vec<String> = KNOBS
-        .iter()
-        .map(|k| match std::env::var(k) {
-            Ok(v) => format!("\"{k}\": \"{}\"", json_escape(&v)),
-            Err(_) => format!("\"{k}\": null"),
-        })
-        .collect();
-    format!(
-        "{{\"threads\": {}, \"knobs\": {{{}}}}}",
-        effective_threads(0),
-        knobs.join(", ")
-    )
-}
 
 /// Processes / nodes / k of the gate workload: large enough that a
 /// budgeted run is evaluation-bound, small enough to finish quickly.
@@ -378,7 +332,7 @@ fn run_pr2(problem: &Problem, budget: Duration) -> Outcome {
     let problem = problem
         .clone()
         .with_comm_lookahead(false)
-        .with_flat_occupancy();
+        .with_occupancy_backend(OccupancyBackend::Flat);
     optimize(&problem, Strategy::Mxr, &gate_config(budget))
         .unwrap_or_else(|e| panic!("perfgate pr2 search: {e}"))
 }
@@ -409,7 +363,7 @@ fn occ_gate_config(budget: Duration) -> SearchConfig {
 fn run_occ_indexed(problem: &Problem, budget: Duration) -> Outcome {
     let problem = problem
         .clone()
-        .with_occupancy_backend(ftdes_core::OccupancyBackend::Indexed);
+        .with_occupancy_backend(OccupancyBackend::Indexed);
     optimize(&problem, Strategy::Mxr, &occ_gate_config(budget))
         .unwrap_or_else(|e| panic!("perfgate occ-indexed search: {e}"))
 }
@@ -541,28 +495,6 @@ fn section_paper() -> String {
         incremental.add(&incr);
     }
 
-    if std::env::var("FTDES_SPLICE_METRICS").is_ok() {
-        let (engaged, gated, diverged, splice_ns, pr2_ns) =
-            ftdes_sched::incremental::metrics::snapshot();
-        let (cert_ns, prep_ns, cone_ns, pr2_calls) = ftdes_sched::incremental::metrics::phases();
-        // Note: the pr2-path totals span every mode that resumes
-        // (the pr3 ablation runs included), not just the spliced
-        // mode's fallbacks.
-        println!(
-            "splice metrics: engaged {engaged} ({:.2} us avg) | gate-rejected {gated} | \
-             diverged {diverged} | pr2-path replays {pr2_calls} ({:.2} us avg, all modes)",
-            splice_ns as f64 / 1e3 / engaged.max(1) as f64,
-            pr2_ns as f64 / 1e3 / pr2_calls.max(1) as f64,
-        );
-        let all = (engaged + gated + diverged).max(1) as f64;
-        println!(
-            "  per eligible candidate: prepare {:.2} us | cert {:.2} us | cone {:.2} us",
-            prep_ns as f64 / 1e3 / all,
-            cert_ns as f64 / 1e3 / all,
-            cone_ns as f64 / 1e3 / (engaged + gated).max(1) as f64,
-        );
-    }
-
     let iter_speedup = ratio(
         incremental.tabu_iterations as f64,
         baseline.tabu_iterations.max(1) as f64,
@@ -610,7 +542,7 @@ fn section_paper() -> String {
          \"tabu_iterations_vs_pr3\": {iter_vs_pr3:.2}, \
          \"candidate_rate_vs_pr3\": {cand_vs_pr3:.2}, \
          \"best_length_ratio\": {length_ratio:.3}}}",
-        environment_json(),
+        ftdes_bench::environment_json(),
         budget.as_millis(),
         baseline.json(),
         pr1.json(),
@@ -873,19 +805,20 @@ fn run_all_sections() -> Vec<(String, String)> {
 }
 
 fn main() -> std::process::ExitCode {
-    if std::env::var("FTDES_SPLICE_METRICS").is_ok() {
-        ftdes_sched::incremental::metrics::enable();
-    }
-
     // Child mode: run one section, write its JSON fragment where the
     // parent asked, exit.
     if let Ok(section) = std::env::var("FTDES_PERFGATE_SECTION") {
         if section != "all" {
+            // The parent-to-child plumbing is not a measurement
+            // setting: keep it out of the recorded environment.
+            let out = std::env::var("FTDES_PERFGATE_OUT");
+            std::env::remove_var("FTDES_PERFGATE_SECTION");
+            std::env::remove_var("FTDES_PERFGATE_OUT");
             let Some(fragment) = run_section(&section) else {
                 eprintln!("perfgate: unknown section '{section}' (valid: {SECTIONS:?}, all)");
                 return std::process::ExitCode::FAILURE;
             };
-            if let Ok(out) = std::env::var("FTDES_PERFGATE_OUT") {
+            if let Ok(out) = out {
                 if let Err(e) = std::fs::write(&out, &fragment) {
                     eprintln!("perfgate: cannot write section output {out}: {e}");
                     return std::process::ExitCode::FAILURE;

@@ -11,22 +11,22 @@
 //! | `... --bin fig10` | Fig. 10 — MX / MR / SFX deviation from MXR |
 //! | `... --bin cruise_control` | the CC case study |
 //! | `... --bin perfgate` | evaluation-throughput gate (paper + comm-heavy workloads) → `BENCH_tabu.json` |
-//! | `... --bin evalprof` | per-phase profile of one candidate evaluation |
 //! | `... --bin incrprof` | incremental vs from-scratch per-move profile |
 //! | `... --bin commprof` | communication-heavy per-candidate profile (bus-wait bound + occupancy index vs the PR 2 path) |
 //! | `cargo bench -p ftdes-bench` | Criterion micro-benchmarks |
 //!
-//! Scale knobs (environment variables; the runtime `FTDES_*` knobs
-//! are canonically documented in the `ftdes-core` crate docs):
+//! Scale knobs (environment variables; `FTDES_THREADS`, the one
+//! variable the engine itself reads, is documented in the
+//! `ftdes-core` crate docs):
 //!
 //! * `FTDES_SEEDS` — applications per configuration (paper: 15,
 //!   default here: 5 to keep runs minutes-scale),
 //! * `FTDES_TIME_MS` — search budget per strategy run in
 //!   milliseconds (default 500; the paper used minutes-to-hours on
 //!   2005 hardware),
-//! * `FTDES_THREADS` / `RAYON_NUM_THREADS` — worker threads for
-//!   candidate evaluation (default: available parallelism),
-//! * `FTDES_NO_PARALLEL` — force single-threaded evaluation,
+//! * `FTDES_THREADS` — worker threads for candidate evaluation
+//!   (default: available parallelism; `1` forces single-threaded
+//!   evaluation),
 //! * `commprof` additionally reads `COMM_RATIO` / `COMM_DENSITY` /
 //!   `COMM_PROCS` to sweep the communication-heavy family.
 //!
@@ -228,6 +228,42 @@ impl std::fmt::Display for PolicyMix {
 /// A formatted message naming the artifact and the I/O failure.
 pub fn write_artifact(name: &str, json: &str) -> Result<(), String> {
     std::fs::write(name, json).map_err(|e| format!("cannot write {name}: {e}"))
+}
+
+/// The measurement environment as a JSON object, recorded into the
+/// `BENCH_*.json` artifacts so runs stay comparable across machines:
+/// the resolved worker-thread count and every `FTDES_*` variable set
+/// in the environment, sorted by name.
+#[must_use]
+pub fn environment_json() -> String {
+    // Minimal JSON string escaping (Rust's `escape_default` emits
+    // `\'`/`\u{..}` forms that are not valid JSON).
+    fn json_escape(v: &str) -> String {
+        let mut out = String::with_capacity(v.len());
+        for c in v.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+    let mut knobs: Vec<(String, String)> = std::env::vars_os()
+        .filter_map(|(k, v)| Some((k.into_string().ok()?, v.to_string_lossy().into_owned())))
+        .filter(|(k, _)| k.starts_with("FTDES_"))
+        .collect();
+    knobs.sort();
+    let knobs: Vec<String> = knobs
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": \"{}\"", json_escape(v)))
+        .collect();
+    format!(
+        "{{\"threads\": {}, \"knobs\": {{{}}}}}",
+        effective_threads(0),
+        knobs.join(", ")
+    )
 }
 
 /// Builds the problem instance for one synthetic application.

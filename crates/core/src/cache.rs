@@ -402,25 +402,8 @@ impl<'p> Evaluator<'p> {
     /// replaced by `decision` — the apply/evaluate/undo primitive of
     /// window evaluation. The original decision is restored before
     /// returning (also on error), so one worker-owned design serves a
-    /// whole window without per-candidate clones.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SchedError`].
-    pub fn evaluate_move(
-        &self,
-        design: &mut Design,
-        process: ProcessId,
-        decision: &ProcessDesign,
-    ) -> Result<(ScheduleCost, bool), SchedError> {
-        let previous = design.replace_decision(process, decision.clone());
-        let result = self.evaluate(design);
-        design.set_decision(process, previous);
-        result
-    }
-
-    /// [`Evaluator::evaluate_move`] through the incremental + bounded
-    /// engine:
+    /// whole window without per-candidate clones. Runs through the
+    /// incremental + bounded engine:
     ///
     /// * with recorded `ckpts` of the base design, the candidate is
     ///   replayed from the latest prefix checkpoint the move cannot
@@ -554,26 +537,6 @@ impl<'p> Evaluator<'p> {
         self.evaluate_keyed(design, Some(bus))
     }
 
-    /// [`Evaluator::evaluate_with_bus`] with an incumbent bound: a
-    /// probe provably worse than the hill-climbing incumbent aborts
-    /// mid-placement with [`EvalOutcome::LowerBound`]. Pruned probes are
-    /// not cached.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Evaluator::evaluate_with_bus`].
-    pub fn evaluate_with_bus_bounded(
-        &self,
-        bus: &BusConfig,
-        design: &Design,
-        bound: Option<ScheduleCost>,
-    ) -> Result<(EvalOutcome, bool), SchedError> {
-        self.cached_bounded(self.key_of(design, Some(bus)), |scratch| {
-            self.problem
-                .evaluate_cost_with_bus_bounded(bus, design, scratch, bound)
-        })
-    }
-
     /// Materializes the full schedule of `design` (the candidate the
     /// search keeps). Reuses the thread-local scratch and feeds the
     /// cost back into the cache.
@@ -654,16 +617,17 @@ impl<'p> Evaluator<'p> {
         Ok(Arc::new(schedule))
     }
 
-    /// [`Evaluator::evaluate_with_bus_bounded`] for a candidate bus
-    /// that differs from the checkpointed incumbent by the single
-    /// slot swap `swapped`: the probe resumes from the last booking
-    /// the swap provably cannot affect (see
-    /// [`ftdes_sched::schedule_cost_resumed_bus`]) instead of
-    /// re-placing from scratch. Falls back to the from-scratch
-    /// bounded run when `ckpts` is `None` or not yet recorded.
-    /// Results — cost, classification, cache behaviour — are
-    /// identical to [`Evaluator::evaluate_with_bus_bounded`] on the
-    /// same `(bus, design, bound)`.
+    /// [`Evaluator::evaluate_with_bus`] with an incumbent bound, for a
+    /// candidate bus that differs from the checkpointed incumbent by
+    /// the single slot swap `swapped`: a probe provably worse than the
+    /// hill-climbing incumbent aborts mid-placement with
+    /// [`EvalOutcome::LowerBound`] (pruned probes are not cached), and
+    /// the probe resumes from the last booking the swap provably
+    /// cannot affect (see [`ftdes_sched::schedule_cost_resumed_bus`])
+    /// instead of re-placing from scratch. Falls back to the
+    /// from-scratch bounded run when `ckpts` is `None` or not yet
+    /// recorded; results — cost, classification, cache behaviour —
+    /// are identical either way.
     ///
     /// # Errors
     ///
@@ -848,7 +812,7 @@ impl CandidateEval<'_, '_> {
     ///
     /// # Errors
     ///
-    /// Same as [`Evaluator::evaluate_with_bus_bounded`].
+    /// Same as [`Evaluator::evaluate_with_bus_swap_bounded`].
     pub fn eval_bus_swap(
         &self,
         bus: &BusConfig,

@@ -41,25 +41,21 @@
 //!   [`problem::Problem::with_sparse_wcet_lookup`]) — every one of
 //!   them is a pure throughput knob, bit-identical by the parity
 //!   tests in `tests/incremental.rs` and `tests/determinism.rs`.
-//!   [`problem::Problem::with_priority_strategy`] (and
-//!   [`SearchConfig::priority`]) select the ready-list priority
-//!   function instead — a **search-space knob** whose strategies
-//!   legitimately reach different designs.
+//!   [`problem::Problem::with_priority_strategy`] selects the
+//!   ready-list priority function instead — a **search-space knob**
+//!   whose strategies legitimately reach different designs — and
+//!   [`problem::Problem::with_max_checkpoints`] bounds the checkpoint
+//!   move axis. Each of these is a plain value on the problem or the
+//!   config; none is read from the environment.
 //!
 //! # Environment variables
 //!
-//! The canonical list of runtime `FTDES_*` knobs (all optional):
+//! The engine reads one deployment setting from the environment:
 //!
 //! | variable | effect |
 //! |---|---|
-//! | `FTDES_THREADS` | worker threads for candidate evaluation (default: available parallelism; also honours `RAYON_NUM_THREADS`) |
-//! | `FTDES_NO_PARALLEL` | force single-threaded evaluation (overrides everything) |
-//! | `FTDES_NO_SPLICE` | disable the suffix-splicing engine (evaluation engine v3): new [`problem::Problem`]s evaluate candidates through the PR 2/3 checkpoint-resumed path instead. Set to anything but `0`/empty; [`problem::Problem::with_suffix_splice`] overrides per problem. Pure throughput knob — results are bit-identical either way |
-//! | `FTDES_MAX_CHECKPOINTS` | largest checkpoint count the move generators may assign per re-executable process (the third move axis). Default: `1` (axis off) while the fault model's `χ` is zero, `4` otherwise; [`problem::Problem::with_max_checkpoints`] overrides per problem. **Search-space knob** — unlike the throughput knobs it changes which designs are reachable |
-//! | `FTDES_OCC_BACKEND` | bus-slot occupancy backend for new [`problem::Problem`]s: `bitmap` (default), `indexed` (PR 3 round-sorted index), or `flat` (legacy tail scan); [`problem::Problem::with_occupancy_backend`] overrides per problem. Pure throughput knob — every backend books identical occurrences |
-//! | `FTDES_PRIORITY` | ready-list priority strategy for new [`problem::Problem`]s: `pcp` (partial-critical-path, default) or `mobility` (ALAP − ASAP float); [`problem::Problem::with_priority_strategy`] / [`SearchConfig::priority`] override per problem / per search. **Search-space knob** |
+//! | `FTDES_THREADS` | worker threads for candidate evaluation when [`SearchConfig::threads`] is `0` (default: available parallelism); see [`parallel::effective_threads`] |
 //!
-//! Resolution order and details: [`parallel::effective_threads`].
 //! The benchmark harness (`ftdes-bench`) adds `FTDES_SEEDS` and
 //! `FTDES_TIME_MS` on top — documented in that crate.
 //!

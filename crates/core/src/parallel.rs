@@ -34,30 +34,22 @@ use std::thread::JoinHandle;
 /// Resolves the worker count for a search.
 ///
 /// Priority: an explicit non-zero `requested` (from
-/// `SearchConfig::threads`), then the `FTDES_NO_PARALLEL` kill switch,
-/// then the `FTDES_THREADS` / `RAYON_NUM_THREADS` environment knobs,
-/// then the machine's available parallelism.
+/// `SearchConfig::threads`), then a positive `FTDES_THREADS`, then
+/// the machine's available parallelism.
 #[must_use]
 pub fn effective_threads(requested: usize) -> usize {
     if requested > 0 {
         return requested;
     }
-    let no_parallel = std::env::var("FTDES_NO_PARALLEL")
-        .map(|v| v != "0" && !v.is_empty())
-        .unwrap_or(false);
-    if no_parallel {
-        return 1;
-    }
-    for knob in ["FTDES_THREADS", "RAYON_NUM_THREADS"] {
-        if let Some(n) = std::env::var(knob).ok().and_then(|v| v.parse().ok()) {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    std::env::var("FTDES_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
 }
 
 /// Maps `f` over `items` on up to `threads` workers, preserving input

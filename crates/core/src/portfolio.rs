@@ -41,7 +41,6 @@
 //! As everywhere else, a wall-clock `time_limit` is the one knob that
 //! trades that away (the cutoff lands wherever the machine got to).
 
-use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
@@ -59,7 +58,7 @@ use crate::moves::candidate_decisions;
 use crate::parallel::{effective_threads, WorkerPool};
 use crate::problem::Problem;
 use crate::space::PolicySpace;
-use crate::strategy::{resolve_priority, Outcome};
+use crate::strategy::Outcome;
 use crate::tabu::{TabuPause, TabuSearch};
 
 /// Tunables of the portfolio engine.
@@ -168,10 +167,11 @@ struct WorkerPrep {
     label: String,
     quota: usize,
     start: Design,
-    /// A re-derived problem when the worker's configuration overrides
-    /// the priority strategy (the mobility axis); `None` = the shared
-    /// problem. The shared cache stays sound either way — the
-    /// strategy participates in the evaluator's context fingerprint.
+    /// A re-derived problem when the worker runs a different priority
+    /// strategy than the shared problem (the mobility axis); `None` =
+    /// the shared problem. The shared cache stays sound either way —
+    /// the strategy participates in the evaluator's context
+    /// fingerprint.
     problem: Option<Problem>,
 }
 
@@ -253,12 +253,13 @@ fn worker_prep(
         ..base.clone()
     };
     let mut axis = "base";
+    let mut priority = problem.schedule_options().priority;
     if w > 0 && pcfg.diversify {
         match (w - 1) % 5 {
             0 => {
                 // First in the cycle so even a 2-worker portfolio
                 // fields a mobility-ordered search beside the base.
-                cfg.priority = Some(PriorityStrategy::Mobility);
+                priority = PriorityStrategy::Mobility;
                 axis = "mobility";
             }
             1 => {
@@ -285,10 +286,8 @@ fn worker_prep(
         let state = pcfg.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         perturb(problem, space, &mut start, w, state);
     }
-    let problem_override = match resolve_priority(problem, &cfg) {
-        Cow::Owned(p) => Some(p),
-        Cow::Borrowed(_) => None,
-    };
+    let problem_override = (priority != problem.schedule_options().priority)
+        .then(|| problem.clone().with_priority_strategy(priority));
     WorkerPrep {
         quota: (pcfg.epoch_candidates / cfg.max_moves_per_iteration.max(1)).max(1),
         label: format!("w{w}:{axis}+p{w}"),
@@ -345,11 +344,6 @@ pub fn optimize_portfolio_with_cache(
     pcfg: &PortfolioConfig,
     cache: &Arc<EvalCache>,
 ) -> Result<PortfolioOutcome, OptError> {
-    // A top-level priority override re-derives the shared problem
-    // once; the per-worker mobility axis re-derives again relative to
-    // this resolved base.
-    let resolved = resolve_priority(problem, cfg);
-    let problem = resolved.as_ref();
     let started = Instant::now();
     let cutoff = cfg.time_limit.map(|l| started + l);
     let workers = if pcfg.workers == 0 {

@@ -63,29 +63,13 @@ pub enum OccupancyBackend {
 }
 
 impl OccupancyBackend {
-    /// The name used by the `FTDES_OCC_BACKEND` knob and bench/CI
-    /// output.
+    /// The name used by bench/CI output.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             OccupancyBackend::Flat => "flat",
             OccupancyBackend::Indexed => "indexed",
             OccupancyBackend::Bitmap => "bitmap",
-        }
-    }
-}
-
-impl std::str::FromStr for OccupancyBackend {
-    type Err = ();
-
-    /// Parses the `FTDES_OCC_BACKEND` values `flat` / `indexed` /
-    /// `bitmap` (case-insensitive).
-    fn from_str(s: &str) -> Result<Self, ()> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "flat" => Ok(OccupancyBackend::Flat),
-            "indexed" => Ok(OccupancyBackend::Indexed),
-            "bitmap" => Ok(OccupancyBackend::Bitmap),
-            _ => Err(()),
         }
     }
 }
@@ -554,19 +538,6 @@ mod tests {
         restored.clone_from(&snap);
         assert_eq!(restored.slot_bytes(0), 8);
         assert_eq!(restored.book(0, 0, 4, 4), 2, "restored to the snapshot");
-    }
-
-    #[test]
-    fn backend_names_round_trip() {
-        for backend in ALL_BACKENDS {
-            assert_eq!(backend.name().parse::<OccupancyBackend>(), Ok(backend));
-        }
-        assert_eq!(
-            "BITMAP".parse::<OccupancyBackend>(),
-            Ok(OccupancyBackend::Bitmap)
-        );
-        assert!("".parse::<OccupancyBackend>().is_err());
-        assert!("fancy".parse::<OccupancyBackend>().is_err());
     }
 
     mod properties {
