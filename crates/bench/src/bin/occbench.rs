@@ -39,7 +39,7 @@
 //! }
 //! ```
 //!
-//! The CI floor on bitmap-vs-indexed (1.15×) is enforced through
+//! The CI floor on bitmap-vs-indexed (1.05×) is enforced through
 //! perfgate's `occ_speedup` section (same workload family, same
 //! modes); this binary exists for the full three-way ablation and is
 //! informational. `FTDES_TIME_MS` / `FTDES_SEEDS` resize the run.

@@ -36,9 +36,9 @@
 //!   "speedup": {
 //!     "tabu_iterations": incremental/baseline,
 //!     "candidate_rate": incremental/baseline,
-//!     "tabu_iterations_vs_pr1": incremental/pr1,
+//!     "tabu_iterations_vs_pr1": incremental/pr1 (null if pr1 ran 0),
 //!     "candidate_rate_vs_pr1": incremental/pr1,
-//!     "tabu_iterations_vs_pr3": incremental/pr3,
+//!     "tabu_iterations_vs_pr3": incremental/pr3 (null if pr3 ran 0),
 //!     "candidate_rate_vs_pr3": incremental/pr3,
 //!     "best_length_ratio": informational
 //!   }
@@ -298,17 +298,14 @@ fn run_incremental(problem: &Problem, budget: Duration) -> Outcome {
 }
 
 /// The PR 1 path: parallel + memoized cost-only evaluation, every
-/// candidate placed from scratch over the sparse `BTreeMap` WCET
-/// table (the dense matrix landed with the incremental engine), no
-/// bounds, no checkpoints.
+/// candidate placed from scratch, no bounds, no checkpoints.
 fn run_pr1(problem: &Problem, budget: Duration) -> Outcome {
     let cfg = SearchConfig {
         incremental: false,
         bounded: false,
         ..gate_config(budget)
     };
-    let problem = problem.clone().with_sparse_wcet_lookup();
-    optimize(&problem, Strategy::Mxr, &cfg).unwrap_or_else(|e| panic!("perfgate pr1 search: {e}"))
+    optimize(problem, Strategy::Mxr, &cfg).unwrap_or_else(|e| panic!("perfgate pr1 search: {e}"))
 }
 
 /// The PR 3 path: everything the previous default had — checkpoint
@@ -375,11 +372,10 @@ fn run_occ_bitmap(problem: &Problem, budget: Duration) -> Outcome {
         .unwrap_or_else(|e| panic!("perfgate occ-bitmap search: {e}"))
 }
 
+/// The frozen pre-optimization reference ([`ftdes_bench::legacy`]).
 fn run_baseline(problem: &Problem, budget: Duration) -> Outcome {
-    // The frozen reference also predates the dense WCET matrix.
-    let problem = problem.clone().with_sparse_wcet_lookup();
     let (design, schedule, stats) =
-        ftdes_bench::legacy::optimize_mxr_reference(&problem, &gate_config(budget))
+        ftdes_bench::legacy::optimize_mxr_reference(problem, &gate_config(budget))
             .unwrap_or_else(|e| panic!("perfgate baseline: {e}"));
     Outcome {
         design,
@@ -390,6 +386,18 @@ fn run_baseline(problem: &Problem, budget: Duration) -> Outcome {
 
 fn ratio(a: f64, b: f64) -> f64 {
     a / b.max(f64::MIN_POSITIVE)
+}
+
+/// An informational tabu-iteration ratio, `None` when the denominator
+/// arm completed no iteration (a ratio against zero means nothing).
+fn iter_ratio(num: usize, den: usize) -> Option<f64> {
+    (den > 0).then(|| num as f64 / den as f64)
+}
+
+/// An optional ratio to two decimals, or `none` when absent (`null`
+/// in the JSON, `n/a` on the console).
+fn show_ratio(r: Option<f64>, none: &str) -> String {
+    r.map_or_else(|| none.to_owned(), |r| format!("{r:.2}"))
 }
 
 /// The occupancy-gate section: bit-packed bitmap vs round-sorted
@@ -428,27 +436,26 @@ fn section_occ() -> String {
         occ_bitmap.candidates_per_sec(),
         occ_indexed.candidates_per_sec(),
     );
-    let occ_iter_vs_indexed = ratio(
-        occ_bitmap.tabu_iterations as f64,
-        occ_indexed.tabu_iterations.max(1) as f64,
-    );
+    let occ_iter_vs_indexed = iter_ratio(occ_bitmap.tabu_iterations, occ_indexed.tabu_iterations);
     println!(
-        "occupancy (density {}), bitmap vs indexed: {occ_iter_vs_indexed:.2}x tabu iterations, \
+        "occupancy (density {}), bitmap vs indexed: {}x tabu iterations, \
          {occ_cand_vs_indexed:.2}x candidate rate (floor 1.05x)",
-        occ_params.edge_density
+        occ_params.edge_density,
+        show_ratio(occ_iter_vs_indexed, "n/a"),
     );
     format!(
         "\"occ_workload\": {{\"family\": \"comm_heavy_stress\", \"processes\": {OCC_PROCESSES}, \
          \"edge_density\": {}, \"msg_wcet_ratio\": {}, \"nodes\": {NODES}, \
          \"k\": {OCC_FAULTS}, \"seeds\": {OCC_SEEDS}, \
          \"budget_ms\": {}}},\n  \"occ_indexed\": {},\n  \"occ\": {},\n  \
-         \"occ_speedup\": {{\"tabu_iterations_vs_indexed\": {occ_iter_vs_indexed:.2}, \
+         \"occ_speedup\": {{\"tabu_iterations_vs_indexed\": {}, \
          \"occ_candidate_rate_vs_indexed\": {occ_cand_vs_indexed:.2}, \"floor\": 1.05}}",
         occ_params.edge_density,
         occ_params.msg_wcet_ratio,
         budget.as_millis(),
         occ_indexed.json(),
         occ_bitmap.json(),
+        show_ratio(occ_iter_vs_indexed, "null"),
     )
 }
 
@@ -503,15 +510,9 @@ fn section_paper() -> String {
         incremental.candidates_per_sec(),
         baseline.candidates_per_sec(),
     );
-    let iter_vs_pr1 = ratio(
-        incremental.tabu_iterations as f64,
-        pr1.tabu_iterations.max(1) as f64,
-    );
+    let iter_vs_pr1 = iter_ratio(incremental.tabu_iterations, pr1.tabu_iterations);
     let cand_vs_pr1 = ratio(incremental.candidates_per_sec(), pr1.candidates_per_sec());
-    let iter_vs_pr3 = ratio(
-        incremental.tabu_iterations as f64,
-        pr3.tabu_iterations.max(1) as f64,
-    );
+    let iter_vs_pr3 = iter_ratio(incremental.tabu_iterations, pr3.tabu_iterations);
     let cand_vs_pr3 = ratio(incremental.candidates_per_sec(), pr3.candidates_per_sec());
     // Informational only: under a wall-clock budget the modes
     // truncate the trajectory at different points (stage midpoints,
@@ -524,12 +525,14 @@ fn section_paper() -> String {
         "vs legacy baseline: {iter_speedup:.2}x tabu iterations, {cand_speedup:.2}x candidate rate"
     );
     println!(
-        "vs PR 1 path:       {iter_vs_pr1:.2}x tabu iterations, {cand_vs_pr1:.2}x candidate rate \
-         (best-length ratio {length_ratio:.3})"
+        "vs PR 1 path:       {}x tabu iterations, {cand_vs_pr1:.2}x candidate rate \
+         (best-length ratio {length_ratio:.3})",
+        show_ratio(iter_vs_pr1, "n/a"),
     );
     println!(
-        "vs PR 3 path:       {iter_vs_pr3:.2}x tabu iterations, {cand_vs_pr3:.2}x candidate rate \
-         (suffix splice on vs off; 4 nodes leave the cone no locality — informational)"
+        "vs PR 3 path:       {}x tabu iterations, {cand_vs_pr3:.2}x candidate rate \
+         (suffix splice on vs off; 4 nodes leave the cone no locality — informational)",
+        show_ratio(iter_vs_pr3, "n/a"),
     );
     format!(
         "\"environment\": {},\n  \
@@ -537,9 +540,9 @@ fn section_paper() -> String {
          \"seeds\": {SEEDS}, \"budget_ms\": {}}},\n  \"baseline\": {},\n  \"pr1\": {},\n  \
          \"pr3\": {},\n  \
          \"incremental\": {},\n  \"speedup\": {{\"tabu_iterations\": {iter_speedup:.2}, \
-         \"candidate_rate\": {cand_speedup:.2}, \"tabu_iterations_vs_pr1\": {iter_vs_pr1:.2}, \
+         \"candidate_rate\": {cand_speedup:.2}, \"tabu_iterations_vs_pr1\": {}, \
          \"candidate_rate_vs_pr1\": {cand_vs_pr1:.2}, \
-         \"tabu_iterations_vs_pr3\": {iter_vs_pr3:.2}, \
+         \"tabu_iterations_vs_pr3\": {}, \
          \"candidate_rate_vs_pr3\": {cand_vs_pr3:.2}, \
          \"best_length_ratio\": {length_ratio:.3}}}",
         ftdes_bench::environment_json(),
@@ -548,6 +551,8 @@ fn section_paper() -> String {
         pr1.json(),
         pr3.json(),
         incremental.json(),
+        show_ratio(iter_vs_pr1, "null"),
+        show_ratio(iter_vs_pr3, "null"),
     )
 }
 
@@ -589,23 +594,22 @@ fn section_splice() -> String {
         splice_incr.candidates_per_sec(),
         splice_pr3.candidates_per_sec(),
     );
-    let splice_iter_vs_pr3 = ratio(
-        splice_incr.tabu_iterations as f64,
-        splice_pr3.tabu_iterations.max(1) as f64,
-    );
+    let splice_iter_vs_pr3 = iter_ratio(splice_incr.tabu_iterations, splice_pr3.tabu_iterations);
     println!(
         "splice gate ({SPLICE_NODES} nodes), suffix splice vs PR 3 path: \
-         {splice_iter_vs_pr3:.2}x tabu iterations, {splice_cand_vs_pr3:.2}x candidate rate"
+         {}x tabu iterations, {splice_cand_vs_pr3:.2}x candidate rate",
+        show_ratio(splice_iter_vs_pr3, "n/a"),
     );
     format!(
         "\"splice_workload\": {{\"family\": \"paper\", \"processes\": {SPLICE_PROCESSES}, \
          \"nodes\": {SPLICE_NODES}, \"k\": {SPLICE_FAULTS}, \"seeds\": {SPLICE_SEEDS}, \
          \"budget_ms\": {}}},\n  \"splice_pr3\": {},\n  \"splice\": {},\n  \
-         \"splice_speedup\": {{\"tabu_iterations_vs_pr3\": {splice_iter_vs_pr3:.2}, \
+         \"splice_speedup\": {{\"tabu_iterations_vs_pr3\": {}, \
          \"splice_candidate_rate_vs_pr3\": {splice_cand_vs_pr3:.2}}}",
         budget.as_millis(),
         splice_pr3.json(),
         splice_incr.json(),
+        show_ratio(splice_iter_vs_pr3, "null"),
     )
 }
 
@@ -643,25 +647,24 @@ fn section_comm() -> String {
         comm_incr.candidates_per_sec(),
         comm_pr2.candidates_per_sec(),
     );
-    let comm_iter_vs_pr2 = ratio(
-        comm_incr.tabu_iterations as f64,
-        comm_pr2.tabu_iterations.max(1) as f64,
-    );
+    let comm_iter_vs_pr2 = iter_ratio(comm_incr.tabu_iterations, comm_pr2.tabu_iterations);
     println!(
-        "comm-heavy, bus-wait bound vs PR 2 path: {comm_iter_vs_pr2:.2}x tabu iterations, \
-         {comm_cand_vs_pr2:.2}x candidate rate"
+        "comm-heavy, bus-wait bound vs PR 2 path: {}x tabu iterations, \
+         {comm_cand_vs_pr2:.2}x candidate rate",
+        show_ratio(comm_iter_vs_pr2, "n/a"),
     );
     format!(
         "\"comm_workload\": {{\"family\": \"comm_heavy\", \"processes\": {COMM_PROCESSES}, \
          \"edge_density\": {COMM_DENSITY}, \"msg_wcet_ratio\": {}, \"nodes\": {NODES}, \
          \"k\": {COMM_FAULTS}, \"seeds\": {COMM_SEEDS}, \
          \"budget_ms\": {}}},\n  \"comm_pr2\": {},\n  \"comm\": {},\n  \
-         \"comm_speedup\": {{\"tabu_iterations_vs_pr2\": {comm_iter_vs_pr2:.2}, \
+         \"comm_speedup\": {{\"tabu_iterations_vs_pr2\": {}, \
          \"comm_candidate_rate_vs_pr2\": {comm_cand_vs_pr2:.2}}}",
         comm_params.msg_wcet_ratio,
         budget.as_millis(),
         comm_pr2.json(),
         comm_incr.json(),
+        show_ratio(comm_iter_vs_pr2, "null"),
     )
 }
 

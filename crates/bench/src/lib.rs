@@ -49,8 +49,8 @@
 //!   full placement),
 //! * `tabu_iterations` — the quantity the budget is spent on,
 //! * for **three** modes: the current incremental + bounded default,
-//!   the PR 1 path (from-scratch cost-only evaluation over the
-//!   sparse WCET table, no bounds or checkpoints) and the frozen
+//!   the PR 1 path (from-scratch cost-only evaluation, no bounds or
+//!   checkpoints) and the frozen
 //!   pre-optimization reference in [`legacy`] (sequential, uncached,
 //!   full materialization per candidate).
 //!
@@ -440,34 +440,6 @@ pub fn overhead_samples(
         let nft = run_strategy_cached(&problem, Strategy::Nft, cfg, &cache);
         ftdes_core::overhead_percent(&mxr, &nft)
     })
-}
-
-/// Average percentage deviation of `strategy`'s schedule length from
-/// MXR's over the seeds of one configuration (paper Fig. 10).
-#[must_use]
-pub fn deviation_from_mxr(
-    processes: usize,
-    nodes: usize,
-    k: u32,
-    mu: Time,
-    strategy: Strategy,
-    cfg: &SearchConfig,
-) -> f64 {
-    let samples = par_seed_map(cfg, |seed, cfg| {
-        let problem = synthetic_problem(processes, nodes, k, mu, seed);
-        let cache = Arc::new(EvalCache::default());
-        let mxr = run_strategy_cached(&problem, Strategy::Mxr, cfg, &cache);
-        let other = run_strategy_cached(&problem, strategy, cfg, &cache);
-        let d_mxr = mxr.length().as_us() as f64;
-        let d_other = other.length().as_us() as f64;
-        (d_mxr > 0.0).then(|| 100.0 * (d_other - d_mxr) / d_mxr)
-    });
-    let samples: Vec<f64> = samples.into_iter().flatten().collect();
-    if samples.is_empty() {
-        0.0
-    } else {
-        samples.iter().sum::<f64>() / samples.len() as f64
-    }
 }
 
 /// Prints a three-column overhead table row.

@@ -545,7 +545,7 @@ impl<'p> Evaluator<'p> {
     ///
     /// Propagates [`SchedError`].
     pub fn schedule(&self, design: &Design) -> Result<Arc<Schedule>, SchedError> {
-        self.schedule_keyed(design, None)
+        self.materialize(design, None, None)
     }
 
     /// [`Evaluator::schedule`] that additionally records the
@@ -562,17 +562,7 @@ impl<'p> Evaluator<'p> {
         design: &Design,
         ckpts: &mut PlacementCheckpoints,
     ) -> Result<Arc<Schedule>, SchedError> {
-        let schedule = SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            let scratch = scratch.core_mut();
-            self.problem
-                .evaluate_recording(design, scratch, Some(ckpts))
-        })?;
-        if let (Some(cache), Some(key)) = (self.cache.as_ref(), self.key_of(design, None)) {
-            cache.insert(key, schedule.cost());
-        }
-        ckpts.tag = design_fingerprint(design, self.base_fp);
-        Ok(Arc::new(schedule))
+        self.materialize(design, None, Some(ckpts))
     }
 
     /// [`Evaluator::schedule`] under an alternative bus configuration.
@@ -585,7 +575,7 @@ impl<'p> Evaluator<'p> {
         bus: &BusConfig,
         design: &Design,
     ) -> Result<Arc<Schedule>, SchedError> {
-        self.schedule_keyed(design, Some(bus))
+        self.materialize(design, Some(bus), None)
     }
 
     /// [`Evaluator::schedule_with_bus`] that additionally records the
@@ -604,17 +594,7 @@ impl<'p> Evaluator<'p> {
         design: &Design,
         ckpts: &mut PlacementCheckpoints,
     ) -> Result<Arc<Schedule>, SchedError> {
-        let schedule = SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            let scratch = scratch.core_mut();
-            self.problem
-                .evaluate_with_bus_recording(bus, design, scratch, Some(ckpts))
-        })?;
-        if let (Some(cache), Some(key)) = (self.cache.as_ref(), self.key_of(design, Some(bus))) {
-            cache.insert(key, schedule.cost());
-        }
-        ckpts.tag = design_fingerprint(design, self.base_fp);
-        Ok(Arc::new(schedule))
+        self.materialize(design, Some(bus), Some(ckpts))
     }
 
     /// [`Evaluator::evaluate_with_bus`] with an incumbent bound, for a
@@ -698,40 +678,40 @@ impl<'p> Evaluator<'p> {
         design: &Design,
         bus: Option<&BusConfig>,
     ) -> Result<(ScheduleCost, bool), SchedError> {
-        let key = self.key_of(design, bus);
-        if let (Some(cache), Some(key)) = (self.cache.as_ref(), key) {
-            if let Some(cost) = cache.get(key) {
-                return Ok((cost, true));
-            }
-        }
-        let cost = SCRATCH.with(|scratch| {
-            let scratch = &mut scratch.borrow_mut();
-            match bus {
-                Some(bus) => self.problem.evaluate_cost_with_bus(bus, design, scratch),
-                None => self.problem.evaluate_cost(design, scratch),
-            }
+        let bus_or_own = bus.unwrap_or(self.problem.bus());
+        let (outcome, hit) = self.cached_bounded(self.key_of(design, bus), |scratch| {
+            self.problem
+                .evaluate_cost_with_bus_bounded(bus_or_own, design, scratch, None)
         })?;
-        if let (Some(cache), Some(key)) = (self.cache.as_ref(), key) {
-            cache.insert(key, cost);
-        }
-        Ok((cost, false))
+        debug_assert!(outcome.is_exact(), "unbounded runs always complete");
+        Ok((outcome.cost(), hit))
     }
 
-    fn schedule_keyed(
+    /// The one materialization body behind every `schedule*` entry
+    /// point: a full placement under `bus` (the problem's own when
+    /// `None`), its cost fed back into the cache under the
+    /// `(design, bus)` key, and — when `ckpts` is given — the
+    /// placement's prefix checkpoints recorded and tagged with the
+    /// design's own-bus fingerprint.
+    fn materialize(
         &self,
         design: &Design,
         bus: Option<&BusConfig>,
+        mut ckpts: Option<&mut PlacementCheckpoints>,
     ) -> Result<Arc<Schedule>, SchedError> {
         let schedule = SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            let scratch = scratch.core_mut();
-            match bus {
-                Some(bus) => self.problem.evaluate_with_bus_scratch(bus, design, scratch),
-                None => self.problem.evaluate_scratch(design, scratch),
-            }
+            self.problem.evaluate_with_bus_recording(
+                bus.unwrap_or(self.problem.bus()),
+                design,
+                scratch.borrow_mut().core_mut(),
+                ckpts.as_deref_mut(),
+            )
         })?;
         if let (Some(cache), Some(key)) = (self.cache.as_ref(), self.key_of(design, bus)) {
             cache.insert(key, schedule.cost());
+        }
+        if let Some(ckpts) = ckpts {
+            ckpts.tag = design_fingerprint(design, self.base_fp);
         }
         Ok(Arc::new(schedule))
     }
@@ -897,12 +877,17 @@ mod tests {
         let (problem, design) = tiny();
         let eval = Evaluator::new(&problem);
         let swapped = problem.bus().swap_slots(0, 1);
-        let (_, hit0) = eval.evaluate(&design).unwrap();
+        let (own, hit0) = eval.evaluate(&design).unwrap();
         let (_, hit1) = eval.evaluate_with_bus(&swapped, &design).unwrap();
         let (_, hit2) = eval.evaluate_with_bus(&swapped, &design).unwrap();
         assert!(!hit0 && !hit1, "different bus misses");
         assert!(hit2, "same (design, bus) hits");
         assert_ne!(bus_fingerprint(problem.bus()), bus_fingerprint(&swapped));
+        // The own-bus and explicit-bus paths share one key: naming the
+        // problem's own bus explicitly hits the own-bus entry.
+        let (explicit, hit3) = eval.evaluate_with_bus(problem.bus(), &design).unwrap();
+        assert!(hit3, "explicit own bus hits the own-bus entry");
+        assert_eq!(explicit, own);
     }
 
     #[test]
@@ -960,5 +945,19 @@ mod tests {
         assert_eq!(cost, direct.cost(), "cost-only path must agree");
         assert_eq!(materialized.cost(), direct.cost());
         assert_eq!(materialized.length(), direct.length());
+        let explicit = problem
+            .evaluate_with_bus_recording(
+                problem.bus(),
+                &design,
+                &mut ftdes_sched::SchedScratch::default(),
+                None,
+            )
+            .unwrap();
+        assert_eq!(explicit.cost(), direct.cost());
+        assert_eq!(
+            explicit.slots(),
+            direct.slots(),
+            "own-bus and explicit-bus materialize agree"
+        );
     }
 }

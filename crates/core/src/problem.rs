@@ -13,7 +13,7 @@ use ftdes_model::ids::ProcessId;
 use ftdes_model::time::Time;
 use ftdes_model::wcet::{DenseWcet, WcetTable};
 use ftdes_sched::{
-    list_schedule_recording, list_schedule_with, schedule_cost_bounded, schedule_cost_resumed,
+    list_schedule_recording, schedule_cost_bounded, schedule_cost_resumed,
     schedule_cost_resumed_bus, CostOutcome, CostScratch, OccupancyBackend, PlacementCheckpoints,
     PriorityStrategy, SchedError, SchedScratch, Schedule, ScheduleCost, ScheduleOptions,
 };
@@ -55,11 +55,6 @@ pub struct Problem {
     /// the expansion hot path does a multiply-add load per replica
     /// instead of a `BTreeMap` walk.
     dense_wcet: DenseWcet,
-    /// `false` routes the scheduling hot paths through the sparse
-    /// `BTreeMap` table instead of the dense matrix — the faithful
-    /// pre-dense reference for perf ablations (`perfgate`'s PR 1 and
-    /// legacy modes).
-    dense_hot_path: bool,
     fault_model: FaultModel,
     bus: BusConfig,
     constraints: DesignConstraints,
@@ -93,7 +88,6 @@ impl Problem {
             arch,
             wcet,
             dense_wcet,
-            dense_hot_path: true,
             fault_model,
             bus,
             constraints: DesignConstraints::free(n),
@@ -123,16 +117,6 @@ impl Problem {
     #[must_use]
     pub fn max_checkpoints(&self) -> u32 {
         self.max_checkpoints
-    }
-
-    /// Routes every scheduling hot path through the sparse `BTreeMap`
-    /// WCET table instead of the dense matrix — the behaviour of the
-    /// code before the dense front-end landed. Measurement knob for
-    /// perf ablations; results are identical, only slower.
-    #[must_use]
-    pub fn with_sparse_wcet_lookup(mut self) -> Self {
-        self.dense_hot_path = false;
-        self
     }
 
     /// Toggles the certified bus-wait lower bound of bounded
@@ -221,16 +205,6 @@ impl Problem {
         }
     }
 
-    /// Returns a copy with a different bus configuration (used by the
-    /// bus-access optimization).
-    #[must_use]
-    pub fn with_bus(&self, bus: BusConfig) -> Self {
-        Problem {
-            bus,
-            ..self.clone()
-        }
-    }
-
     /// The merged application graph Γ.
     #[must_use]
     pub fn graph(&self) -> &ProcessGraph {
@@ -301,48 +275,14 @@ impl Problem {
     /// Propagates [`SchedError`] for designs inconsistent with the
     /// problem.
     pub fn evaluate(&self, design: &Design) -> Result<Schedule, SchedError> {
-        if self.dense_hot_path {
-            list_schedule_with(
-                &self.graph,
-                &self.arch,
-                &self.dense_wcet,
-                &self.fault_model,
-                &self.bus,
-                design,
-                self.options,
-            )
-        } else {
-            list_schedule_with(
-                &self.graph,
-                &self.arch,
-                &self.wcet,
-                &self.fault_model,
-                &self.bus,
-                design,
-                self.options,
-            )
-        }
+        self.evaluate_with_bus_recording(&self.bus, design, &mut SchedScratch::default(), None)
     }
 
-    /// [`Problem::evaluate`] reusing caller-owned scheduling buffers —
-    /// the allocation-light entry point of the optimizer's hot path
-    /// (see [`crate::cache::Evaluator`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::evaluate`].
-    pub fn evaluate_scratch(
-        &self,
-        design: &Design,
-        scratch: &mut SchedScratch,
-    ) -> Result<Schedule, SchedError> {
-        self.evaluate_recording(design, scratch, None)
-    }
-
-    /// [`Problem::evaluate_scratch`] that additionally records the
-    /// placement's resumable prefix checkpoints into `ckpts` — the
-    /// incremental engine replays single-move candidates from them
-    /// (see [`ftdes_sched::incremental`]).
+    /// [`Problem::evaluate`] reusing caller-owned scheduling buffers,
+    /// optionally recording the placement's resumable prefix
+    /// checkpoints into `ckpts` — the incremental engine replays
+    /// single-move candidates from them (see
+    /// [`ftdes_sched::incremental`]).
     ///
     /// # Errors
     ///
@@ -353,54 +293,15 @@ impl Problem {
         scratch: &mut SchedScratch,
         ckpts: Option<&mut PlacementCheckpoints>,
     ) -> Result<Schedule, SchedError> {
-        if self.dense_hot_path {
-            list_schedule_recording(
-                &self.graph,
-                &self.arch,
-                &self.dense_wcet,
-                &self.fault_model,
-                &self.bus,
-                design,
-                self.options,
-                scratch,
-                ckpts,
-            )
-        } else {
-            list_schedule_recording(
-                &self.graph,
-                &self.arch,
-                &self.wcet,
-                &self.fault_model,
-                &self.bus,
-                design,
-                self.options,
-                scratch,
-                ckpts,
-            )
-        }
+        self.evaluate_with_bus_recording(&self.bus, design, scratch, ckpts)
     }
 
-    /// Evaluates `design` under an alternative bus configuration
-    /// without cloning the problem (the bus-access optimization probes
-    /// many configurations per design).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::evaluate`].
-    pub fn evaluate_with_bus_scratch(
-        &self,
-        bus: &BusConfig,
-        design: &Design,
-        scratch: &mut SchedScratch,
-    ) -> Result<Schedule, SchedError> {
-        self.evaluate_with_bus_recording(bus, design, scratch, None)
-    }
-
-    /// [`Problem::evaluate_with_bus_scratch`] that additionally
-    /// records the placement's prefix checkpoints — the bus-access
-    /// optimization records its incumbent configuration this way so
-    /// slot-swap probes can resume instead of re-placing from scratch
-    /// (see [`ftdes_sched::schedule_cost_resumed_bus`]).
+    /// [`Problem::evaluate_recording`] under an alternative bus
+    /// configuration, without cloning the problem — the bus-access
+    /// optimization probes many configurations per design and records
+    /// its incumbent so slot-swap probes can resume instead of
+    /// re-placing from scratch (see
+    /// [`ftdes_sched::schedule_cost_resumed_bus`]).
     ///
     /// # Errors
     ///
@@ -412,31 +313,17 @@ impl Problem {
         scratch: &mut SchedScratch,
         ckpts: Option<&mut PlacementCheckpoints>,
     ) -> Result<Schedule, SchedError> {
-        if self.dense_hot_path {
-            list_schedule_recording(
-                &self.graph,
-                &self.arch,
-                &self.dense_wcet,
-                &self.fault_model,
-                bus,
-                design,
-                self.options,
-                scratch,
-                ckpts,
-            )
-        } else {
-            list_schedule_recording(
-                &self.graph,
-                &self.arch,
-                &self.wcet,
-                &self.fault_model,
-                bus,
-                design,
-                self.options,
-                scratch,
-                ckpts,
-            )
-        }
+        list_schedule_recording(
+            &self.graph,
+            &self.arch,
+            &self.dense_wcet,
+            &self.fault_model,
+            bus,
+            design,
+            self.options,
+            scratch,
+            ckpts,
+        )
     }
 
     /// Computes only the [`ScheduleCost`] of `design` — the identical
@@ -452,7 +339,7 @@ impl Problem {
         design: &Design,
         scratch: &mut CostScratch,
     ) -> Result<ScheduleCost, SchedError> {
-        match self.evaluate_cost_bounded(design, scratch, None)? {
+        match self.evaluate_cost_with_bus_bounded(&self.bus, design, scratch, None)? {
             CostOutcome::Exact(cost) => Ok(cost),
             CostOutcome::LowerBound(_) => unreachable!("unbounded runs always complete"),
         }
@@ -461,7 +348,7 @@ impl Problem {
     /// [`Problem::evaluate_cost`] with an incumbent bound: the run
     /// aborts with a certified lower bound as soon as the accumulated
     /// worst-case completion strictly exceeds `bound` (see
-    /// [`ftdes_sched::schedule_cost_bounded`]).
+    /// [`ftdes_sched::schedule_cost_bounded`]). `None` never aborts.
     ///
     /// # Errors
     ///
@@ -472,31 +359,34 @@ impl Problem {
         scratch: &mut CostScratch,
         bound: Option<ScheduleCost>,
     ) -> Result<CostOutcome, SchedError> {
-        if self.dense_hot_path {
-            schedule_cost_bounded(
-                &self.graph,
-                &self.arch,
-                &self.dense_wcet,
-                &self.fault_model,
-                &self.bus,
-                design,
-                self.options,
-                scratch,
-                bound,
-            )
-        } else {
-            schedule_cost_bounded(
-                &self.graph,
-                &self.arch,
-                &self.wcet,
-                &self.fault_model,
-                &self.bus,
-                design,
-                self.options,
-                scratch,
-                bound,
-            )
-        }
+        self.evaluate_cost_with_bus_bounded(&self.bus, design, scratch, bound)
+    }
+
+    /// [`Problem::evaluate_cost_bounded`] under an alternative bus
+    /// configuration (the bus-access optimization prunes losing
+    /// probes with the bound).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Problem::evaluate`].
+    pub fn evaluate_cost_with_bus_bounded(
+        &self,
+        bus: &BusConfig,
+        design: &Design,
+        scratch: &mut CostScratch,
+        bound: Option<ScheduleCost>,
+    ) -> Result<CostOutcome, SchedError> {
+        schedule_cost_bounded(
+            &self.graph,
+            &self.arch,
+            &self.dense_wcet,
+            &self.fault_model,
+            bus,
+            design,
+            self.options,
+            scratch,
+            bound,
+        )
     }
 
     /// Evaluates the cost of `design` — the checkpointed base design
@@ -515,93 +405,19 @@ impl Problem {
         ckpts: &PlacementCheckpoints,
         bound: Option<ScheduleCost>,
     ) -> Result<CostOutcome, SchedError> {
-        if self.dense_hot_path {
-            schedule_cost_resumed(
-                &self.graph,
-                &self.arch,
-                &self.dense_wcet,
-                &self.fault_model,
-                &self.bus,
-                design,
-                moved,
-                self.options,
-                scratch,
-                ckpts,
-                bound,
-            )
-        } else {
-            schedule_cost_resumed(
-                &self.graph,
-                &self.arch,
-                &self.wcet,
-                &self.fault_model,
-                &self.bus,
-                design,
-                moved,
-                self.options,
-                scratch,
-                ckpts,
-                bound,
-            )
-        }
-    }
-
-    /// [`Problem::evaluate_cost`] under an alternative bus
-    /// configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::evaluate`].
-    pub fn evaluate_cost_with_bus(
-        &self,
-        bus: &BusConfig,
-        design: &Design,
-        scratch: &mut CostScratch,
-    ) -> Result<ScheduleCost, SchedError> {
-        match self.evaluate_cost_with_bus_bounded(bus, design, scratch, None)? {
-            CostOutcome::Exact(cost) => Ok(cost),
-            CostOutcome::LowerBound(_) => unreachable!("unbounded runs always complete"),
-        }
-    }
-
-    /// [`Problem::evaluate_cost_with_bus`] with an incumbent bound
-    /// (the bus-access optimization prunes losing probes with it).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::evaluate`].
-    pub fn evaluate_cost_with_bus_bounded(
-        &self,
-        bus: &BusConfig,
-        design: &Design,
-        scratch: &mut CostScratch,
-        bound: Option<ScheduleCost>,
-    ) -> Result<CostOutcome, SchedError> {
-        if self.dense_hot_path {
-            schedule_cost_bounded(
-                &self.graph,
-                &self.arch,
-                &self.dense_wcet,
-                &self.fault_model,
-                bus,
-                design,
-                self.options,
-                scratch,
-                bound,
-            )
-        } else {
-            schedule_cost_bounded(
-                &self.graph,
-                &self.arch,
-                &self.wcet,
-                &self.fault_model,
-                bus,
-                design,
-                self.options,
-                scratch,
-                bound,
-            )
-        }
+        schedule_cost_resumed(
+            &self.graph,
+            &self.arch,
+            &self.dense_wcet,
+            &self.fault_model,
+            &self.bus,
+            design,
+            moved,
+            self.options,
+            scratch,
+            ckpts,
+            bound,
+        )
     }
 
     /// Evaluates the checkpointed base design under a bus

@@ -74,7 +74,7 @@ fn bus_wait_bound_is_admissible_on_comm_heavy_instances() {
         // candidate of the current window is checked for
         // admissibility under a spread of bounds.
         for _step in 0..5 {
-            let schedule = armed.evaluate_with_bus_scratch(armed.bus(), &design, &mut core);
+            let schedule = armed.evaluate_recording(&design, &mut core, None);
             let schedule = schedule.unwrap();
             let cp = schedule.move_candidates(armed.graph(), 6);
             table.window(&design, &cp, &mut window);

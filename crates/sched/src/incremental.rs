@@ -15,7 +15,7 @@
 //!   `stride` positions;
 //! * a candidate move on process `q` is then evaluated by
 //!   [`schedule_cost_resumed`]: it patches the base expansion
-//!   ([`ExpandedDesign::expand_patched`]), recomputes priorities
+//!   ([`ExpandedDesign::patch_in_place`]), recomputes priorities
 //!   (they depend on the design through replica WCETs and bus
 //!   crossings), determines the first placement position the move can
 //!   affect, restores the latest snapshot at or before it, and

@@ -186,8 +186,9 @@ pub struct SchedScratch {
     pub(crate) nodes: Vec<NodeScratch>,
     /// Message arrival times per sender instance (delivery lookups).
     pub(crate) arrivals: Vec<Vec<(EdgeId, Time)>>,
-    /// Indexed bus-slot occupancy (used bytes per occupied slot
-    /// occurrence, one round-sorted list per slot).
+    /// Bus-slot occupancy under every backend (the default bit-packed
+    /// bitmap, the round-sorted index, the flat table); the run's
+    /// `ScheduleOptions::occupancy` selects which one books.
     pub(crate) occupancy: SlotOccupancy,
     /// Whether each process has been placed (bounded runs' lookahead
     /// scans skip placed processes).
