@@ -1,859 +1,759 @@
-//! The performance gate: tracks the optimizer's evaluation throughput
-//! from PR to PR.
+//! The performance gate: how much faster the current engine walks a
+//! fixed search trajectory than the predecessors it replaced.
 //!
-//! Runs the same fixed-seed MXR search **four** times under the
-//! identical wall-clock budget (`FTDES_TIME_MS`, default 500 ms per
-//! seed):
+//! # Method
 //!
-//! 1. **baseline** — the frozen pre-optimization reference
-//!    ([`ftdes_bench::legacy`]): sequential, uncached, one full
-//!    schedule materialization and one design clone per candidate,
-//! 2. **pr1** — the parallel + memoized cost-only path
-//!    (`incremental: false, bounded: false`): scratch-reused
-//!    from-scratch placement per candidate,
-//! 3. **pr3** — the PR 2/3 default: checkpoint-resumed + bounded
-//!    candidates with the communication-aware engine, suffix splicing
-//!    disabled (`Problem::with_suffix_splice(false)`),
-//! 4. **incremental** — the current default path (evaluation engine
-//!    v3): candidates re-place only their certified affected cone and
-//!    splice the base recording's per-node segments and per-slot bus
-//!    timelines for everything outside it, falling back to the PR 2
-//!    resume on ready-order divergence.
+//! The paper scores designs by "the shortest schedule within an
+//! imposed time limit", so engine speed matters only as the time to
+//! walk a given trajectory. Every gate therefore compares the current
+//! default engine (the **default arm**) with a slower predecessor (the
+//! **denominator arm**) on the *same* trajectory:
 //!
-//! Because the search is deterministic in everything except the
-//! wall-clock cutoff, more candidates per second directly buy more
-//! tabu iterations — the quantity that decides solution quality under
-//! the paper's "shortest schedule within an imposed time limit"
-//! protocol. Results are written to `BENCH_tabu.json`:
+//! * each section builds its seeds' problems once, and every arm
+//!   replays [`ftdes_bench::iteration_config`] at a fixed tabu
+//!   iteration count with `threads: 1` — no wall-clock cutoff, and no
+//!   thread scheduling in the timed path (at two threads the
+//!   ratios swing with the host's scheduler, not the engine);
+//! * a section replays all its arms [`REPEATS`] times, forward on even
+//!   repeats and reversed on odd ones, so no arm always runs first.
+//!   Within a repeat the arms take turns seed by seed, and each gated
+//!   arm sits next to the default arm in that order: time on a shared
+//!   VM drifts by tens of percent over seconds, so the two runs a ratio
+//!   pairs must lie close together;
+//! * a gate is the per-repeat ratio `time(denominator) / time(default)`,
+//!   reported as its median with the quartiles. CI enforces a floor on
+//!   the median.
 //!
-//! ```json
-//! {
-//!   "workload": {...},
-//!   "baseline":    {"tabu_iterations": N, "candidates_per_sec": X, ...},
-//!   "pr1":         {...},
-//!   "pr3":         {...},
-//!   "incremental": {...},
-//!   "speedup": {
-//!     "tabu_iterations": incremental/baseline,
-//!     "candidate_rate": incremental/baseline,
-//!     "tabu_iterations_vs_pr1": incremental/pr1 (null if pr1 ran 0),
-//!     "candidate_rate_vs_pr1": incremental/pr1,
-//!     "tabu_iterations_vs_pr3": incremental/pr3 (null if pr3 ran 0),
-//!     "candidate_rate_vs_pr3": incremental/pr3,
-//!     "best_length_ratio": informational
-//!   }
-//! }
-//! ```
+//! | section | workload | trajectory per arm | denominator arm | floor |
+//! |---|---|---|---|---|
+//! | `paper` | paper family, 40 processes / 4 nodes / k = 3 | 300 iterations × 3 seeds | `legacy`: the frozen pre-optimization reference ([`ftdes_bench::legacy`]) | 2.0× |
+//! | `paper` | same | same | `pr1`: from-scratch memoized placement (`incremental: false, bounded: false`) | 1.25× |
+//! | `paper` | same | same | `pr3`: suffix splicing off (`with_suffix_splice(false)`) | none |
+//! | `splice` | paper family, 96 processes / 12 nodes / k = 3 | 40 iterations × 3 seeds | `pr3` | 1.2× |
+//! | `comm` | comm-heavy, 50 processes / density 5 / k = 2 | 100 iterations × 3 seeds | `pr2`: flat occupancy scan, no bus-wait bound | 1.15× |
+//! | `occ` | comm-heavy stress, 48 processes / density 24 / ratio 3 / k = 2 | greedy only × 2 seeds, from-scratch placements | `indexed`: the round-sorted occupancy index | 1.05× |
+//!
+//! * **Splice.** A move's certified affected cone covers the moved
+//!   process's replica nodes plus everything node-chained behind them.
+//!   On the 4-node paper machine a k = 3 move dirties most of it, so
+//!   the `paper` section's `pr3` ratio is informational; at 12 nodes
+//!   the cone leaves most of the machine untouched.
+//! * **Comm.** The paper family makes communication almost free, so a
+//!   denser family ([`ftdes_bench::comm_heavy_problem_with`]: five
+//!   edges per process, a bus where an average transfer costs half an
+//!   average WCET) carries the communication-aware engine's gate: the
+//!   `pr2` arm books through the flat tail scan
+//!   (`OccupancyBackend::Flat`) with the certified bus-wait lower bound
+//!   off (`with_comm_lookahead(false)`).
+//! * **Occupancy.** [`CommHeavyParams::stress`] piles thousands of
+//!   replicated messages onto contended TDMA rounds. Both arms place
+//!   every candidate from scratch (`incremental: false,
+//!   bounded: false`, the cold-start / greedy / portfolio-prologue
+//!   regime) and run the greedy descent only, so every candidate books
+//!   the whole table; they differ only in the booking backend (default
+//!   bit-packed bitmap vs round-sorted index). The 1.05× floor sits
+//!   below the ~1.07× structural advantage a layout-neutralized A/B
+//!   (`-C llvm-args=-align-all-functions=6`) measured; larger
+//!   historical readings were function-placement luck.
+//!
+//! # Trajectory invariance
+//!
+//! Every arm differs from the default only in throughput knobs, so on
+//! a fixed trajectory it must return the default arm's per-seed δ —
+//! the legacy reference included — and every repeat of an arm must
+//! return the δ and the candidate count of its first repeat. A
+//! mismatch names the seed and arm and fails the run. The candidate
+//! count of each arm is recorded as a deterministic work figure but
+//! not compared across arms: the tabu resolution pass re-scores pruned
+//! candidates whose lower bound ties the winner, so how many
+//! candidates an arm scores depends on how tight its bound is.
+//!
+//! # The multi-core section
+//!
+//! `multicore` runs the portfolio engine ([`ftdes_core::portfolio`])
+//! at 1 / 2 / 4 workers over the `paper` workload with a fixed
+//! iteration count per worker and single-threaded per-worker
+//! evaluation, and records the aggregate candidate rate and the
+//! scaling efficiency `rate(w) / rate(1)`. Its 1.3× floor at 4 workers
+//! is **non-gating**: a 1-CPU host measures ≈ 1.0× by construction, so
+//! `available_parallelism` is recorded alongside.
 //!
 //! # One subprocess per section
 //!
-//! Every gated section runs in its **own child process** (the binary
-//! re-invokes itself with `FTDES_PERFGATE_SECTION=<name>` and collects
-//! the per-section JSON fragments): the full-placement arms of the
-//! occupancy gate — and, to a lesser degree, every other ratio in the
-//! file — are sensitive to allocator state, so letting one section
-//! churn the heap before another measurably bends the next section's
-//! ratio (historically ~0.10 absolute on the occupancy gate, which is
-//! why it used to be pinned first). A fresh process per section makes
-//! every floor independent of section order by construction.
-//! `FTDES_PERFGATE_SECTION=all` runs everything in-process instead
-//! (the automatic fallback when the binary cannot re-spawn itself).
+//! Every section runs in its **own child process**: the binary
+//! re-invokes itself with `FTDES_PERFGATE_SECTION=<name>` and
+//! `FTDES_PERFGATE_OUT=<file>` and collects the per-section JSON
+//! fragments. The from-scratch arms of the occupancy gate — and, to a
+//! lesser degree, every other ratio — are sensitive to allocator
+//! state, so letting one section churn the heap before another bends
+//! the next section's ratio (historically ~0.10 absolute on the
+//! occupancy gate). If the binary cannot re-spawn itself the run
+//! fails.
 //!
-//! # The suffix-splice gate
+//! # Output
 //!
-//! The fourth mode's own CI gate runs on a second **paper-family
-//! workload** at a larger architecture
-//! (96 processes / 12 nodes / k = 3, `splice_workload` in the JSON):
-//! the certified affected cone of a move covers the moved process's
-//! replica nodes plus everything node-chained behind them, so on the
-//! legacy 4-node instance a k = 3 move dirties most of the machine
-//! and splicing cannot beat the PR 2 replay it falls back to
-//! (measured ≈ 1.0× there — kept as the informational
-//! `candidate_rate_vs_pr3`). At 12 nodes the cone leaves most of the
-//! machine untouched and the engine's reuse is structural:
-//! `splice_candidate_rate_vs_pr3` carries the CI floor (1.2×).
+//! `BENCH_tabu.json` holds the `environment`, the `method` (repeats,
+//! threads) and one object per section:
 //!
-//! # The communication-heavy gate
-//!
-//! The paper-family workload above makes communication almost free
-//! (1–4 byte messages against 10–100 ms WCETs), so it cannot see the
-//! communication-aware engine at all. A **second gated workload**
-//! ([`ftdes_bench::comm_heavy_problem_with`]: five edges per process,
-//! 4–16 byte messages, a bus where an average transfer costs half an
-//! average WCET — several hundred bookings per evaluation) is
-//! therefore run two ways:
-//!
-//! 1. **pr2** — incremental + bounded exactly as PR 2 shipped it:
-//!    the certified bus-wait lower bound disabled
-//!    (`Problem::with_comm_lookahead(false)`) and bus messages booked
-//!    through the legacy flat tail scan
-//!    (`Problem::with_occupancy_backend(OccupancyBackend::Flat)`),
-//!    whose whole-table rescan per overflowed round turns quadratic on
-//!    congested buses,
-//! 2. **incremental** — the current default: the per-(node, slot)
-//!    occupancy index books in O(log occupied rounds), and the
-//!    bus-wait floor folds into the abort bound.
-//!
-//! Both runs walk bit-identical trajectories (the bound is
-//! admissible and both booking paths pick identical slot
-//! occurrences — it changes *how fast* a candidate is scored, never
-//! *which* candidate wins), so the candidate-rate ratio cleanly
-//! measures the communication-aware additions. `BENCH_tabu.json`
-//! gains `comm_workload` / `comm_pr2` / `comm` sections and a
-//! `comm_candidate_rate_vs_pr2` ratio; CI enforces its floor (1.15×).
-//!
-//! # The occupancy gate
-//!
-//! A **third gated workload** pushes the communication family to the
-//! regime where the booking structure itself dominates per-candidate
-//! cost: [`CommHeavyParams::stress`] (twenty-four edges per process,
-//! message/WCET ratio 3) at k = 2 piles thousands of replicated
-//! messages onto contended TDMA rounds, so the PR 3 sorted-vec
-//! occupancy index degenerates into long per-round walks over
-//! partially-filled-but-unfitting rounds. Both arms run full
-//! from-scratch placements (checkpoint resume and bounded early-exit
-//! off — the cold-start / greedy / portfolio-prologue regime, where
-//! every candidate exercises the full booking table). The arms differ
-//! only in the backend: the round-sorted index (`occ_indexed`) vs the
-//! default bit-packed saturation bitmap (`occ`), which skips saturated
-//! words whole and walks partial words with a branch-light threshold
-//! scan. Like the comm gate, the backend is a pure throughput knob
-//! (bit-identical bookings), so
-//! `occ_speedup.occ_candidate_rate_vs_indexed` cleanly isolates the
-//! bitmap; CI enforces its floor (1.05×). The floor was re-calibrated
-//! down from 1.15× in PR 10: an A/B with function placement
-//! neutralized (`-C llvm-args=-align-all-functions=6`, both arms)
-//! shows the structural bitmap advantage on the 1-CPU container is
-//! ~1.07×, and the rest of the historical 1.2×+ readings was code
-//! *layout* luck that rerolls on any unrelated edit — a floor above
-//! the structural value keys the gate on the linker lottery, not on
-//! the backend. The standalone `occbench`
-//! binary sweeps all three backends (flat / indexed / bitmap) into
-//! `BENCH_occ.json` for ablation.
-//!
-//! # The multi-core portfolio section
-//!
-//! A final sweep runs the portfolio engine
-//! ([`ftdes_core::portfolio`]) at 1 / 2 / 4 workers over the paper
-//! gate workload with a **fixed iteration budget per worker** and
-//! single-threaded per-worker evaluation, recording the aggregate and
-//! per-core candidate rates plus the scaling efficiencies
-//! (`rate(w) / rate(1)`) into the `multicore` section of
-//! `BENCH_tabu.json`. The 4-worker floor (1.3×) is **non-gating**: a
-//! 1-CPU container measures ≈ 1.0× by construction, so the floor only
-//! becomes meaningful (and, later, gateable) on a multi-core runner —
-//! `environment.threads` / `multicore.available_parallelism` tell the
-//! two apart.
+//! ```json
+//! "paper": {
+//!   "workload": {...},
+//!   "arms": {"default": {"elapsed_ms": [per repeat], "candidates": N, "lengths_us": [per seed]}, ...},
+//!   "ratios": {"legacy": {"per_repeat": [...], "q1": x, "median": x, "q3": x, "floor": 2.0}, ...}
+//! }
+//! ```
 
-use std::time::Duration;
+use std::process::{Command, ExitCode};
+use std::time::{Duration, Instant};
 
-use ftdes_bench::{comm_heavy_problem_with, synthetic_problem, time_budget};
+use ftdes_bench::{comm_heavy_problem_with, environment_json, iteration_config, synthetic_problem};
 use ftdes_core::{
-    effective_threads, optimize, optimize_portfolio, Goal, OccupancyBackend, Outcome, PolicySpace,
+    effective_threads, optimize, optimize_portfolio, OccupancyBackend, Outcome, PolicySpace,
     PortfolioConfig, Problem, SearchConfig, Strategy,
 };
 use ftdes_gen::CommHeavyParams;
 use ftdes_model::time::Time;
 
-/// Processes / nodes / k of the gate workload: large enough that a
-/// budgeted run is evaluation-bound, small enough to finish quickly.
+/// Replays of every arm per section.
+const REPEATS: usize = 7;
+
+/// Evaluation threads of every arm.
+const THREADS: usize = 1;
+
+/// Fault duration µ of every workload.
+const MU: Time = Time::from_ms(5);
+
+/// The paper gate workload (also the `multicore` workload).
 const PROCESSES: usize = 40;
 const NODES: usize = 4;
 const FAULTS: u32 = 3;
 const SEEDS: u64 = 3;
+const ITERATIONS: usize = 300;
 
-/// The communication-heavy gate workload: a denser graph (five edges
-/// per process — several hundred bus messages per evaluation), k = 2
-/// so the fault dimension doesn't drown the bus dimension.
-const COMM_PROCESSES: usize = 50;
-const COMM_DENSITY: f64 = 5.0;
-const COMM_FAULTS: u32 = 2;
-const COMM_SEEDS: u64 = 3;
-
-/// The suffix-splice gate workload (paper family, larger machine):
-/// the affected cone of a move spans the moved process's replica
-/// nodes plus everything node-chained behind them, so on the 4-node
-/// legacy gate a k = 3 move dirties most of the machine and the
-/// splice has no suffix locality to exploit (measured ~1.0× there —
-/// recorded as the informational `candidate_rate_vs_pr3` of the
-/// legacy gate). At 12 nodes a move leaves most nodes untouched and
-/// the engine's reuse is structural, not incidental.
+/// The suffix-splice gate workload: the paper family on a machine wide
+/// enough that a move's cone leaves most nodes untouched.
 const SPLICE_PROCESSES: usize = 96;
 const SPLICE_NODES: usize = 12;
-const SPLICE_FAULTS: u32 = 3;
-const SPLICE_SEEDS: u64 = 3;
+const SPLICE_ITERATIONS: usize = 40;
 
-/// The occupancy gate workload ([`CommHeavyParams::stress`]: twenty-four
-/// edges per process, message/WCET ratio 3, k = 2 so replication
-/// multiplies the sends — thousands of messages fighting over
-/// contended TDMA rounds): the regime where the booking structure
-/// dominates per-candidate cost. Both arms run **from-scratch
-/// placements** ([`occ_gate_config`]: checkpoint resume off, the
-/// cold-start / greedy / portfolio-prologue regime) so every
-/// candidate exercises the full booking table; they differ only in
-/// the backend — the PR 3 round-sorted index vs the default
-/// bit-packed bitmap — and walk bit-identical trajectories, so the
-/// candidate-rate ratio isolates exactly the booking structure. CI
-/// enforces the floor (1.05×; see the module docs for the PR 10
-/// layout-neutralized re-calibration) on
-/// `occ_speedup.occ_candidate_rate_vs_indexed`.
+/// The communication-heavy gate workload: five edges per process
+/// (several hundred bus messages per evaluation), k = 2 so the fault
+/// dimension doesn't drown the bus dimension.
+const COMM_PROCESSES: usize = 50;
+const COMM_EDGE_DENSITY: f64 = 5.0;
+const COMM_FAULTS: u32 = 2;
+const COMM_ITERATIONS: usize = 100;
+
+/// The occupancy gate workload ([`CommHeavyParams::stress`]), greedy
+/// descent only.
 const OCC_PROCESSES: usize = 48;
 const OCC_FAULTS: u32 = 2;
-const OCC_SEEDS: u64 = 3;
+const OCC_SEEDS: u64 = 2;
 
-/// The multi-core portfolio gate: worker counts swept over the paper
-/// gate workload at a **fixed iteration budget per worker** (no
-/// wall-clock cutoff), so the aggregate candidate rate cleanly
-/// measures how well extra workers turn into extra throughput.
-/// Scaling efficiency at `w` workers is
-/// `aggregate_rate(w) / aggregate_rate(1)`; the acceptance floor
-/// (1.3× at 4 workers) is recorded **non-gating** — the numbers only
-/// mean something on a multi-core runner (`available_parallelism` in
-/// the environment section tells them apart; a 1-CPU container
-/// measures ≈ 1.0× by construction).
+/// The non-gating multi-core portfolio sweep.
 const MULTICORE_WORKERS: [usize; 3] = [1, 2, 4];
 const MULTICORE_ITERATIONS: usize = 120;
 const MULTICORE_SEEDS: u64 = 2;
 const MULTICORE_FLOOR_4W: f64 = 1.3;
 
-/// Execution order of the per-section subprocesses. With one fresh
-/// process per section the order no longer affects any ratio; the
-/// occupancy gate simply keeps its historical first slot.
-const SECTIONS: [&str; 5] = ["occ", "paper", "splice", "comm", "multicore"];
+/// The sections, in execution and output order; each runs in its own
+/// child process.
+const SECTIONS: [&str; 5] = ["paper", "splice", "comm", "occ", "multicore"];
 
-/// Key order of the assembled `BENCH_tabu.json` (environment first
-/// for human readers; CI loads it as a dict and doesn't care).
-const ASSEMBLY: [&str; 5] = ["paper", "splice", "comm", "occ", "multicore"];
-
-#[derive(Debug, Default, Clone, Copy)]
-struct ModeTotals {
-    tabu_iterations: usize,
-    evaluations: usize,
-    cache_hits: usize,
-    pruned: usize,
-    elapsed: Duration,
-    best_length_us: u64,
-}
-
-impl ModeTotals {
-    fn add(&mut self, outcome: &Outcome) {
-        self.tabu_iterations += outcome.stats.tabu_iterations;
-        self.evaluations += outcome.stats.evaluations;
-        self.cache_hits += outcome.stats.cache_hits;
-        self.pruned += outcome.stats.pruned;
-        self.elapsed += outcome.stats.elapsed;
-        self.best_length_us += outcome.length().as_us();
-    }
-
-    fn evals_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.evaluations as f64 / secs
-    }
-
-    /// Candidates scored per second — schedules computed, cache hits,
-    /// and bounded-pruned candidates (each pruned candidate was
-    /// examined exactly far enough to prove it cannot win); the rate
-    /// the search actually consumes its neighbourhood at.
-    fn candidates_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        (self.evaluations + self.cache_hits + self.pruned) as f64 / secs
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"tabu_iterations\": {}, \"evaluations\": {}, \"cache_hits\": {}, \
-             \"pruned\": {}, \"elapsed_ms\": {}, \"evals_per_sec\": {:.1}, \
-             \"candidates_per_sec\": {:.1}, \"best_length_us\": {}}}",
-            self.tabu_iterations,
-            self.evaluations,
-            self.cache_hits,
-            self.pruned,
-            self.elapsed.as_millis(),
-            self.evals_per_sec(),
-            self.candidates_per_sec(),
-            self.best_length_us
-        )
-    }
-}
-
-fn gate_config(budget: Duration) -> SearchConfig {
+/// The fixed-trajectory configuration every gate arm starts from.
+fn replay_config(iterations: usize) -> SearchConfig {
     SearchConfig {
-        goal: Goal::MinimizeLength,
-        time_limit: Some(budget),
-        max_tabu_iterations: usize::MAX,
-        ..SearchConfig::default()
+        threads: THREADS,
+        ..iteration_config(iterations)
     }
 }
 
-/// The current default path: incremental + bounded evaluation.
-fn run_incremental(problem: &Problem, budget: Duration) -> Outcome {
-    optimize(problem, Strategy::Mxr, &gate_config(budget))
-        .unwrap_or_else(|e| panic!("perfgate incremental search: {e}"))
+/// One seed's result in one replay of an arm.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SeedResult {
+    length_us: u64,
+    candidates: usize,
 }
 
-/// The PR 1 path: parallel + memoized cost-only evaluation, every
-/// candidate placed from scratch, no bounds, no checkpoints.
-fn run_pr1(problem: &Problem, budget: Duration) -> Outcome {
+/// One replay of an arm over all of its section's seeds.
+#[derive(Debug, Clone)]
+struct Sample {
+    elapsed: Duration,
+    seeds: Vec<SeedResult>,
+}
+
+/// One engine configuration a section times: a search configuration
+/// and one problem per seed, both derived once from the section's
+/// workload, or the frozen legacy reference.
+struct Arm {
+    name: &'static str,
+    problems: Vec<Problem>,
+    cfg: SearchConfig,
+    legacy: bool,
+    /// The floor on `time(this arm) / time(default arm)`; `None` for
+    /// the default arm and for informational ratios.
+    floor: Option<f64>,
+}
+
+impl Arm {
+    fn new(name: &'static str, problems: Vec<Problem>, cfg: SearchConfig) -> Self {
+        Arm {
+            name,
+            problems,
+            cfg,
+            legacy: false,
+            floor: None,
+        }
+    }
+
+    fn gated(self, floor: f64) -> Self {
+        Arm {
+            floor: Some(floor),
+            ..self
+        }
+    }
+
+    /// Solves the problem of one seed, timed.
+    fn run(&self, seed: usize) -> Result<(Duration, SeedResult), String> {
+        let problem = &self.problems[seed];
+        let started = Instant::now();
+        let outcome = if self.legacy {
+            ftdes_bench::legacy::optimize_mxr_reference(problem, &self.cfg).map(
+                |(design, schedule, stats)| Outcome {
+                    design,
+                    schedule,
+                    stats,
+                },
+            )
+        } else {
+            optimize(problem, Strategy::Mxr, &self.cfg)
+        }
+        .map_err(|e| format!("seed {seed}, arm '{}': {e}", self.name))?;
+        let elapsed = started.elapsed();
+        Ok((
+            elapsed,
+            SeedResult {
+                length_us: outcome.length().as_us(),
+                candidates: outcome.stats.candidates(),
+            },
+        ))
+    }
+}
+
+/// A gated section: its workload as a JSON object, its seed count and
+/// its arms, the default arm first and each gated arm next to it in
+/// the replay order.
+struct Section {
+    workload: String,
+    seeds: usize,
+    arms: Vec<Arm>,
+}
+
+/// Derives one problem per seed from `problems`.
+fn derive(problems: &[Problem], f: impl Fn(Problem) -> Problem) -> Vec<Problem> {
+    problems.iter().cloned().map(f).collect()
+}
+
+fn paper_section() -> Section {
+    let problems: Vec<Problem> = (0..SEEDS)
+        .map(|seed| synthetic_problem(PROCESSES, NODES, FAULTS, MU, seed))
+        .collect();
+    let cfg = replay_config(ITERATIONS);
+    let pr1 = SearchConfig {
+        incremental: false,
+        bounded: false,
+        ..cfg.clone()
+    };
+    Section {
+        workload: format!(
+            "{{\"family\": \"paper\", \"processes\": {PROCESSES}, \"nodes\": {NODES}, \
+             \"k\": {FAULTS}, \"seeds\": {SEEDS}, \"iterations\": {ITERATIONS}}}"
+        ),
+        seeds: problems.len(),
+        arms: vec![
+            Arm::new("default", problems.clone(), cfg.clone()),
+            Arm::new("pr1", problems.clone(), pr1).gated(1.25),
+            Arm::new(
+                "pr3",
+                derive(&problems, |p| p.with_suffix_splice(false)),
+                cfg.clone(),
+            ),
+            Arm {
+                legacy: true,
+                ..Arm::new("legacy", problems, cfg).gated(2.0)
+            },
+        ],
+    }
+}
+
+fn splice_section() -> Section {
+    let problems: Vec<Problem> = (0..SEEDS)
+        .map(|seed| synthetic_problem(SPLICE_PROCESSES, SPLICE_NODES, FAULTS, MU, seed))
+        .collect();
+    let cfg = replay_config(SPLICE_ITERATIONS);
+    Section {
+        workload: format!(
+            "{{\"family\": \"paper\", \"processes\": {SPLICE_PROCESSES}, \
+             \"nodes\": {SPLICE_NODES}, \"k\": {FAULTS}, \"seeds\": {SEEDS}, \
+             \"iterations\": {SPLICE_ITERATIONS}}}"
+        ),
+        seeds: problems.len(),
+        arms: vec![
+            Arm::new("default", problems.clone(), cfg.clone()),
+            Arm::new(
+                "pr3",
+                derive(&problems, |p| p.with_suffix_splice(false)),
+                cfg,
+            )
+            .gated(1.2),
+        ],
+    }
+}
+
+fn comm_section() -> Section {
+    let params = CommHeavyParams::dense(COMM_PROCESSES).with_density(COMM_EDGE_DENSITY);
+    let problems: Vec<Problem> = (0..SEEDS)
+        .map(|seed| comm_heavy_problem_with(&params, NODES, COMM_FAULTS, MU, seed))
+        .collect();
+    let cfg = replay_config(COMM_ITERATIONS);
+    let pr2 = derive(&problems, |p| {
+        p.with_comm_lookahead(false)
+            .with_occupancy_backend(OccupancyBackend::Flat)
+    });
+    Section {
+        workload: format!(
+            "{{\"family\": \"comm_heavy\", \"processes\": {COMM_PROCESSES}, \
+             \"edge_density\": {COMM_EDGE_DENSITY}, \"msg_wcet_ratio\": {}, \
+             \"nodes\": {NODES}, \"k\": {COMM_FAULTS}, \"seeds\": {SEEDS}, \
+             \"iterations\": {COMM_ITERATIONS}}}",
+            params.msg_wcet_ratio
+        ),
+        seeds: problems.len(),
+        arms: vec![
+            Arm::new("default", problems, cfg.clone()),
+            Arm::new("pr2", pr2, cfg).gated(1.15),
+        ],
+    }
+}
+
+fn occ_section() -> Section {
+    let params = CommHeavyParams::stress(OCC_PROCESSES);
+    let problems: Vec<Problem> = (0..OCC_SEEDS)
+        .map(|seed| comm_heavy_problem_with(&params, NODES, OCC_FAULTS, MU, seed))
+        .collect();
     let cfg = SearchConfig {
         incremental: false,
         bounded: false,
-        ..gate_config(budget)
+        ..replay_config(0)
     };
-    optimize(problem, Strategy::Mxr, &cfg).unwrap_or_else(|e| panic!("perfgate pr1 search: {e}"))
-}
-
-/// The PR 3 path: everything the previous default had — checkpoint
-/// resume, bounded early-exit, the comm-aware engine — with suffix
-/// splicing disabled. The candidate-rate ratio against this isolates
-/// exactly the splice engine's contribution.
-fn run_pr3(problem: &Problem, budget: Duration) -> Outcome {
-    let problem = problem.clone().with_suffix_splice(false);
-    optimize(&problem, Strategy::Mxr, &gate_config(budget))
-        .unwrap_or_else(|e| panic!("perfgate pr3 search: {e}"))
-}
-
-/// The PR 2 path on the communication-heavy workload: incremental +
-/// bounded exactly as PR 2 shipped it — the certified bus-wait lower
-/// bound disabled (the abort bound falls back to the computation-only
-/// per-node lookahead) and bus messages booked through the legacy
-/// flat tail scan instead of the per-(node, slot) occupancy index.
-/// Both knobs are bit-identical in results, so the candidate-rate
-/// ratio isolates exactly this PR's communication-aware additions.
-fn run_pr2(problem: &Problem, budget: Duration) -> Outcome {
-    let problem = problem
-        .clone()
-        .with_comm_lookahead(false)
-        .with_occupancy_backend(OccupancyBackend::Flat);
-    optimize(&problem, Strategy::Mxr, &gate_config(budget))
-        .unwrap_or_else(|e| panic!("perfgate pr2 search: {e}"))
-}
-
-/// The occupancy gate's search configuration: [`gate_config`] with
-/// checkpoint resume *and* bounded early-exit off, so every candidate
-/// re-places (and re-books) the whole instance from scratch. The
-/// resume engine replays only a suffix of the bookings per candidate
-/// and the abort bound truncates most placements before their
-/// booking-heavy tail — both dilute the booking structure's share of
-/// candidate cost with work identical across backends. Both knobs
-/// are pure throughput knobs (bit-identical selections), so the
-/// full-placement arms stay a clean ablation and measure the
-/// structure at full exposure — the regime of every cold start,
-/// greedy descent and portfolio prologue.
-fn occ_gate_config(budget: Duration) -> SearchConfig {
-    SearchConfig {
-        incremental: false,
-        bounded: false,
-        ..gate_config(budget)
+    let indexed = derive(&problems, |p| {
+        p.with_occupancy_backend(OccupancyBackend::Indexed)
+    });
+    Section {
+        workload: format!(
+            "{{\"family\": \"comm_heavy_stress\", \"processes\": {OCC_PROCESSES}, \
+             \"edge_density\": {}, \"msg_wcet_ratio\": {}, \"nodes\": {NODES}, \
+             \"k\": {OCC_FAULTS}, \"seeds\": {OCC_SEEDS}, \"iterations\": 0, \
+             \"from_scratch\": true}}",
+            params.edge_density, params.msg_wcet_ratio
+        ),
+        seeds: problems.len(),
+        arms: vec![
+            Arm::new("default", problems, cfg.clone()),
+            Arm::new("indexed", indexed, cfg).gated(1.05),
+        ],
     }
 }
 
-/// The PR 3 booking structure on the occupancy gate: the from-scratch
-/// engine with the occupancy backend rolled back to the round-sorted
-/// index. Bit-identical trajectories with [`run_occ_bitmap`], so the
-/// ratio isolates the booking structure alone.
-fn run_occ_indexed(problem: &Problem, budget: Duration) -> Outcome {
-    let problem = problem
-        .clone()
-        .with_occupancy_backend(OccupancyBackend::Indexed);
-    optimize(&problem, Strategy::Mxr, &occ_gate_config(budget))
-        .unwrap_or_else(|e| panic!("perfgate occ-indexed search: {e}"))
-}
-
-/// The default bit-packed bitmap backend on the occupancy gate, under
-/// the same from-scratch configuration as [`run_occ_indexed`].
-fn run_occ_bitmap(problem: &Problem, budget: Duration) -> Outcome {
-    optimize(problem, Strategy::Mxr, &occ_gate_config(budget))
-        .unwrap_or_else(|e| panic!("perfgate occ-bitmap search: {e}"))
-}
-
-/// The frozen pre-optimization reference ([`ftdes_bench::legacy`]).
-fn run_baseline(problem: &Problem, budget: Duration) -> Outcome {
-    let (design, schedule, stats) =
-        ftdes_bench::legacy::optimize_mxr_reference(problem, &gate_config(budget))
-            .unwrap_or_else(|e| panic!("perfgate baseline: {e}"));
-    Outcome {
-        design,
-        schedule,
-        stats,
+/// Runs `run(arm, seed)` for every arm and seed, `repeats` times, and
+/// returns the results indexed `[arm][repeat][seed]`. Within a repeat
+/// the arms take turns seed by seed — in arm order on even repeats and
+/// in reverse on odd ones — so the runs a ratio pairs lie seconds
+/// apart, not a whole section.
+fn replay<S>(
+    arms: usize,
+    repeats: usize,
+    seeds: usize,
+    mut run: impl FnMut(usize, usize) -> Result<S, String>,
+) -> Result<Vec<Vec<Vec<S>>>, String> {
+    let mut samples: Vec<Vec<Vec<S>>> = (0..arms).map(|_| Vec::with_capacity(repeats)).collect();
+    for repeat in 0..repeats {
+        let mut this_repeat: Vec<Vec<S>> = (0..arms).map(|_| Vec::with_capacity(seeds)).collect();
+        for seed in 0..seeds {
+            for i in 0..arms {
+                let arm = if repeat % 2 == 0 { i } else { arms - 1 - i };
+                this_repeat[arm].push(run(arm, seed)?);
+            }
+        }
+        for (runs, results) in samples.iter_mut().zip(this_repeat) {
+            runs.push(results);
+        }
     }
+    Ok(samples)
 }
 
-fn ratio(a: f64, b: f64) -> f64 {
-    a / b.max(f64::MIN_POSITIVE)
+/// Checks that every arm reached the default arm's per-seed δ and
+/// that every repeat of an arm reproduced its first repeat's δ and
+/// candidate count. `samples` is indexed `[arm][repeat]`, the default
+/// arm first.
+fn check_invariance(names: &[&str], samples: &[Vec<Sample>]) -> Result<(), String> {
+    let reference = &samples[0][0].seeds;
+    for (name, runs) in names.iter().zip(samples) {
+        let first = &runs[0].seeds;
+        for (seed, (got, want)) in first.iter().zip(reference).enumerate() {
+            if got.length_us != want.length_us {
+                return Err(format!(
+                    "seed {seed}, arm '{name}': δ = {} µs, the default arm reached {} µs",
+                    got.length_us, want.length_us
+                ));
+            }
+        }
+        for (repeat, run) in runs.iter().enumerate().skip(1) {
+            for (seed, (got, want)) in run.seeds.iter().zip(first).enumerate() {
+                if got != want {
+                    return Err(format!(
+                        "seed {seed}, arm '{name}', repeat {repeat}: δ = {} µs over {} \
+                         candidates, its first repeat {} µs over {}",
+                        got.length_us, got.candidates, want.length_us, want.candidates
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
-/// An informational tabu-iteration ratio, `None` when the denominator
-/// arm completed no iteration (a ratio against zero means nothing).
-fn iter_ratio(num: usize, den: usize) -> Option<f64> {
-    (den > 0).then(|| num as f64 / den as f64)
+/// The first quartile, median and third quartile of a non-empty
+/// sample, interpolating linearly between order statistics.
+fn quartiles(samples: &[f64]) -> [f64; 3] {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    };
+    [at(0.25), at(0.5), at(0.75)]
 }
 
-/// An optional ratio to two decimals, or `none` when absent (`null`
-/// in the JSON, `n/a` on the console).
-fn show_ratio(r: Option<f64>, none: &str) -> String {
-    r.map_or_else(|| none.to_owned(), |r| format!("{r:.2}"))
+/// Per-repeat ratios `den[r] / num[r]`.
+fn time_ratios(den: &[Duration], num: &[Duration]) -> Vec<f64> {
+    den.iter()
+        .zip(num)
+        .map(|(d, n)| d.as_secs_f64() / n.as_secs_f64().max(f64::MIN_POSITIVE))
+        .collect()
 }
 
-/// The occupancy-gate section: bit-packed bitmap vs round-sorted
-/// index under full from-scratch placements.
-fn section_occ() -> String {
-    let budget = time_budget();
-    let mut occ_indexed = ModeTotals::default();
-    let mut occ_bitmap = ModeTotals::default();
-    let occ_params = CommHeavyParams::stress(OCC_PROCESSES);
+fn join(values: impl IntoIterator<Item = String>) -> String {
+    values.into_iter().collect::<Vec<_>>().join(", ")
+}
+
+/// Replays a gated section and returns its JSON object.
+fn measure(name: &str, section: &Section) -> Result<String, String> {
+    let names: Vec<&str> = section.arms.iter().map(|a| a.name).collect();
     println!(
-        "perfgate (occupancy): {OCC_PROCESSES} processes / {NODES} nodes / k = {OCC_FAULTS}, \
-         density {} / ratio {}, {OCC_SEEDS} seeds, {budget:?} per run per mode",
-        occ_params.edge_density, occ_params.msg_wcet_ratio
+        "perfgate ({name}): {}, arms {names:?}, {REPEATS} repeats, {THREADS} thread",
+        section.workload
     );
-    for seed in 0..OCC_SEEDS {
-        let problem =
-            comm_heavy_problem_with(&occ_params, NODES, OCC_FAULTS, Time::from_ms(5), seed);
-        let indexed = run_occ_indexed(&problem, budget);
-        let bitmap = run_occ_bitmap(&problem, budget);
+    let samples: Vec<Vec<Sample>> =
+        replay(section.arms.len(), REPEATS, section.seeds, |arm, seed| {
+            section.arms[arm].run(seed)
+        })?
+        .into_iter()
+        .map(|repeats| {
+            repeats
+                .into_iter()
+                .map(|runs| Sample {
+                    elapsed: runs.iter().map(|(elapsed, _)| *elapsed).sum(),
+                    seeds: runs.into_iter().map(|(_, result)| result).collect(),
+                })
+                .collect()
+        })
+        .collect();
+    check_invariance(&names, &samples)?;
+
+    let elapsed: Vec<Vec<Duration>> = samples
+        .iter()
+        .map(|runs| runs.iter().map(|s| s.elapsed).collect())
+        .collect();
+    let mut arms = Vec::new();
+    for (arm, runs) in section.arms.iter().zip(&samples) {
+        let candidates: usize = runs[0].seeds.iter().map(|s| s.candidates).sum();
+        let ms: Vec<f64> = runs.iter().map(|s| s.elapsed.as_secs_f64() * 1e3).collect();
         println!(
-            "  seed {seed}: indexed {} iters / {} evals (+{} hits, {} pruned) | \
-             bitmap {} iters / {} evals (+{} hits, {} pruned)",
-            indexed.stats.tabu_iterations,
-            indexed.stats.evaluations,
-            indexed.stats.cache_hits,
-            indexed.stats.pruned,
-            bitmap.stats.tabu_iterations,
-            bitmap.stats.evaluations,
-            bitmap.stats.cache_hits,
-            bitmap.stats.pruned,
+            "  {:>8}: {candidates} candidates, median {:.1} ms",
+            arm.name,
+            quartiles(&ms)[1]
         );
-        occ_indexed.add(&indexed);
-        occ_bitmap.add(&bitmap);
+        arms.push(format!(
+            "\"{}\": {{\"elapsed_ms\": [{}], \"candidates\": {candidates}, \"lengths_us\": [{}]}}",
+            arm.name,
+            join(ms.iter().map(|m| format!("{m:.1}"))),
+            join(runs[0].seeds.iter().map(|s| s.length_us.to_string())),
+        ));
     }
-    let occ_cand_vs_indexed = ratio(
-        occ_bitmap.candidates_per_sec(),
-        occ_indexed.candidates_per_sec(),
-    );
-    let occ_iter_vs_indexed = iter_ratio(occ_bitmap.tabu_iterations, occ_indexed.tabu_iterations);
-    println!(
-        "occupancy (density {}), bitmap vs indexed: {}x tabu iterations, \
-         {occ_cand_vs_indexed:.2}x candidate rate (floor 1.05x)",
-        occ_params.edge_density,
-        show_ratio(occ_iter_vs_indexed, "n/a"),
-    );
-    format!(
-        "\"occ_workload\": {{\"family\": \"comm_heavy_stress\", \"processes\": {OCC_PROCESSES}, \
-         \"edge_density\": {}, \"msg_wcet_ratio\": {}, \"nodes\": {NODES}, \
-         \"k\": {OCC_FAULTS}, \"seeds\": {OCC_SEEDS}, \
-         \"budget_ms\": {}}},\n  \"occ_indexed\": {},\n  \"occ\": {},\n  \
-         \"occ_speedup\": {{\"tabu_iterations_vs_indexed\": {}, \
-         \"occ_candidate_rate_vs_indexed\": {occ_cand_vs_indexed:.2}, \"floor\": 1.05}}",
-        occ_params.edge_density,
-        occ_params.msg_wcet_ratio,
-        budget.as_millis(),
-        occ_indexed.json(),
-        occ_bitmap.json(),
-        show_ratio(occ_iter_vs_indexed, "null"),
-    )
-}
-
-/// The legacy paper-workload section: baseline / pr1 / pr3 /
-/// incremental, plus the environment snapshot.
-fn section_paper() -> String {
-    let budget = time_budget();
-    let mut baseline = ModeTotals::default();
-    let mut pr1 = ModeTotals::default();
-    let mut pr3 = ModeTotals::default();
-    let mut incremental = ModeTotals::default();
-
-    println!(
-        "perfgate: {PROCESSES} processes / {NODES} nodes / k = {FAULTS}, \
-         {SEEDS} seeds, {budget:?} per run per mode"
-    );
-    for seed in 0..SEEDS {
-        let problem = synthetic_problem(PROCESSES, NODES, FAULTS, Time::from_ms(5), seed);
-        let base = run_baseline(&problem, budget);
-        let mid = run_pr1(&problem, budget);
-        let resumed = run_pr3(&problem, budget);
-        let incr = run_incremental(&problem, budget);
+    let mut ratios = Vec::new();
+    for (arm, den) in section.arms.iter().zip(&elapsed).skip(1) {
+        let per_repeat = time_ratios(den, &elapsed[0]);
+        let [q1, median, q3] = quartiles(&per_repeat);
+        let shown: Vec<String> = per_repeat.iter().map(|r| format!("{r:.2}")).collect();
+        let floor = arm.floor.map_or("none".to_owned(), |f| format!("{f:.2}x"));
         println!(
-            "  seed {seed}: baseline {} iters / {} evals | pr1 {} iters / {} evals (+{} hits) | \
-             pr3 {} iters / {} evals (+{} hits, {} pruned) | \
-             spliced {} iters / {} evals (+{} hits, {} pruned)",
-            base.stats.tabu_iterations,
-            base.stats.evaluations,
-            mid.stats.tabu_iterations,
-            mid.stats.evaluations,
-            mid.stats.cache_hits,
-            resumed.stats.tabu_iterations,
-            resumed.stats.evaluations,
-            resumed.stats.cache_hits,
-            resumed.stats.pruned,
-            incr.stats.tabu_iterations,
-            incr.stats.evaluations,
-            incr.stats.cache_hits,
-            incr.stats.pruned,
+            "  default vs {}: median {median:.2}x [q1 {q1:.2} – q3 {q3:.2}], floor {floor}; \
+             per repeat {}",
+            arm.name,
+            shown.join(" ")
         );
-        baseline.add(&base);
-        pr1.add(&mid);
-        pr3.add(&resumed);
-        incremental.add(&incr);
+        ratios.push(format!(
+            "\"{}\": {{\"per_repeat\": [{}], \"q1\": {q1:.3}, \"median\": {median:.3}, \
+             \"q3\": {q3:.3}, \"floor\": {}}}",
+            arm.name,
+            shown.join(", "),
+            arm.floor.map_or("null".to_owned(), |f| format!("{f:.2}")),
+        ));
     }
-
-    let iter_speedup = ratio(
-        incremental.tabu_iterations as f64,
-        baseline.tabu_iterations.max(1) as f64,
-    );
-    let cand_speedup = ratio(
-        incremental.candidates_per_sec(),
-        baseline.candidates_per_sec(),
-    );
-    let iter_vs_pr1 = iter_ratio(incremental.tabu_iterations, pr1.tabu_iterations);
-    let cand_vs_pr1 = ratio(incremental.candidates_per_sec(), pr1.candidates_per_sec());
-    let iter_vs_pr3 = iter_ratio(incremental.tabu_iterations, pr3.tabu_iterations);
-    let cand_vs_pr3 = ratio(incremental.candidates_per_sec(), pr3.candidates_per_sec());
-    // Informational only: under a wall-clock budget the modes
-    // truncate the trajectory at different points (stage midpoints,
-    // cutoffs), so per-seed best lengths can move either way.
-    let length_ratio = ratio(
-        incremental.best_length_us as f64,
-        baseline.best_length_us.max(1) as f64,
-    );
-    println!(
-        "vs legacy baseline: {iter_speedup:.2}x tabu iterations, {cand_speedup:.2}x candidate rate"
-    );
-    println!(
-        "vs PR 1 path:       {}x tabu iterations, {cand_vs_pr1:.2}x candidate rate \
-         (best-length ratio {length_ratio:.3})",
-        show_ratio(iter_vs_pr1, "n/a"),
-    );
-    println!(
-        "vs PR 3 path:       {}x tabu iterations, {cand_vs_pr3:.2}x candidate rate \
-         (suffix splice on vs off; 4 nodes leave the cone no locality — informational)",
-        show_ratio(iter_vs_pr3, "n/a"),
-    );
-    format!(
-        "\"environment\": {},\n  \
-         \"workload\": {{\"processes\": {PROCESSES}, \"nodes\": {NODES}, \"k\": {FAULTS}, \
-         \"seeds\": {SEEDS}, \"budget_ms\": {}}},\n  \"baseline\": {},\n  \"pr1\": {},\n  \
-         \"pr3\": {},\n  \
-         \"incremental\": {},\n  \"speedup\": {{\"tabu_iterations\": {iter_speedup:.2}, \
-         \"candidate_rate\": {cand_speedup:.2}, \"tabu_iterations_vs_pr1\": {}, \
-         \"candidate_rate_vs_pr1\": {cand_vs_pr1:.2}, \
-         \"tabu_iterations_vs_pr3\": {}, \
-         \"candidate_rate_vs_pr3\": {cand_vs_pr3:.2}, \
-         \"best_length_ratio\": {length_ratio:.3}}}",
-        ftdes_bench::environment_json(),
-        budget.as_millis(),
-        baseline.json(),
-        pr1.json(),
-        pr3.json(),
-        incremental.json(),
-        show_ratio(iter_vs_pr1, "null"),
-        show_ratio(iter_vs_pr3, "null"),
-    )
+    Ok(format!(
+        "{{\n    \"workload\": {},\n    \"arms\": {{\n      {}\n    }},\n    \
+         \"ratios\": {{\n      {}\n    }}\n  }}",
+        section.workload,
+        arms.join(",\n      "),
+        ratios.join(",\n      ")
+    ))
 }
 
-/// The suffix-splice gate section (paper family, 12 nodes).
-fn section_splice() -> String {
-    let budget = time_budget();
-    let mut splice_pr3 = ModeTotals::default();
-    let mut splice_incr = ModeTotals::default();
-    println!(
-        "perfgate (splice gate): {SPLICE_PROCESSES} processes / {SPLICE_NODES} nodes / \
-         k = {SPLICE_FAULTS}, {SPLICE_SEEDS} seeds, {budget:?} per run per mode"
-    );
-    for seed in 0..SPLICE_SEEDS {
-        let problem = synthetic_problem(
-            SPLICE_PROCESSES,
-            SPLICE_NODES,
-            SPLICE_FAULTS,
-            Time::from_ms(5),
-            seed,
-        );
-        let resumed = run_pr3(&problem, budget);
-        let incr = run_incremental(&problem, budget);
-        println!(
-            "  seed {seed}: pr3 {} iters / {} evals (+{} hits, {} pruned) | \
-             spliced {} iters / {} evals (+{} hits, {} pruned)",
-            resumed.stats.tabu_iterations,
-            resumed.stats.evaluations,
-            resumed.stats.cache_hits,
-            resumed.stats.pruned,
-            incr.stats.tabu_iterations,
-            incr.stats.evaluations,
-            incr.stats.cache_hits,
-            incr.stats.pruned,
-        );
-        splice_pr3.add(&resumed);
-        splice_incr.add(&incr);
-    }
-    let splice_cand_vs_pr3 = ratio(
-        splice_incr.candidates_per_sec(),
-        splice_pr3.candidates_per_sec(),
-    );
-    let splice_iter_vs_pr3 = iter_ratio(splice_incr.tabu_iterations, splice_pr3.tabu_iterations);
-    println!(
-        "splice gate ({SPLICE_NODES} nodes), suffix splice vs PR 3 path: \
-         {}x tabu iterations, {splice_cand_vs_pr3:.2}x candidate rate",
-        show_ratio(splice_iter_vs_pr3, "n/a"),
-    );
-    format!(
-        "\"splice_workload\": {{\"family\": \"paper\", \"processes\": {SPLICE_PROCESSES}, \
-         \"nodes\": {SPLICE_NODES}, \"k\": {SPLICE_FAULTS}, \"seeds\": {SPLICE_SEEDS}, \
-         \"budget_ms\": {}}},\n  \"splice_pr3\": {},\n  \"splice\": {},\n  \
-         \"splice_speedup\": {{\"tabu_iterations_vs_pr3\": {}, \
-         \"splice_candidate_rate_vs_pr3\": {splice_cand_vs_pr3:.2}}}",
-        budget.as_millis(),
-        splice_pr3.json(),
-        splice_incr.json(),
-        show_ratio(splice_iter_vs_pr3, "null"),
-    )
-}
-
-/// The communication-heavy gate section.
-fn section_comm() -> String {
-    let budget = time_budget();
-    let mut comm_pr2 = ModeTotals::default();
-    let mut comm_incr = ModeTotals::default();
-    println!(
-        "perfgate (comm-heavy): {COMM_PROCESSES} processes / {NODES} nodes / k = {COMM_FAULTS}, \
-         {COMM_SEEDS} seeds, {budget:?} per run per mode"
-    );
-    let comm_params = CommHeavyParams::dense(COMM_PROCESSES).with_density(COMM_DENSITY);
-    for seed in 0..COMM_SEEDS {
-        let problem =
-            comm_heavy_problem_with(&comm_params, NODES, COMM_FAULTS, Time::from_ms(5), seed);
-        let pr2 = run_pr2(&problem, budget);
-        let incr = run_incremental(&problem, budget);
-        println!(
-            "  seed {seed}: pr2 {} iters / {} evals (+{} hits, {} pruned) | \
-             comm-bound {} iters / {} evals (+{} hits, {} pruned)",
-            pr2.stats.tabu_iterations,
-            pr2.stats.evaluations,
-            pr2.stats.cache_hits,
-            pr2.stats.pruned,
-            incr.stats.tabu_iterations,
-            incr.stats.evaluations,
-            incr.stats.cache_hits,
-            incr.stats.pruned,
-        );
-        comm_pr2.add(&pr2);
-        comm_incr.add(&incr);
-    }
-    let comm_cand_vs_pr2 = ratio(
-        comm_incr.candidates_per_sec(),
-        comm_pr2.candidates_per_sec(),
-    );
-    let comm_iter_vs_pr2 = iter_ratio(comm_incr.tabu_iterations, comm_pr2.tabu_iterations);
-    println!(
-        "comm-heavy, bus-wait bound vs PR 2 path: {}x tabu iterations, \
-         {comm_cand_vs_pr2:.2}x candidate rate",
-        show_ratio(comm_iter_vs_pr2, "n/a"),
-    );
-    format!(
-        "\"comm_workload\": {{\"family\": \"comm_heavy\", \"processes\": {COMM_PROCESSES}, \
-         \"edge_density\": {COMM_DENSITY}, \"msg_wcet_ratio\": {}, \"nodes\": {NODES}, \
-         \"k\": {COMM_FAULTS}, \"seeds\": {COMM_SEEDS}, \
-         \"budget_ms\": {}}},\n  \"comm_pr2\": {},\n  \"comm\": {},\n  \
-         \"comm_speedup\": {{\"tabu_iterations_vs_pr2\": {}, \
-         \"comm_candidate_rate_vs_pr2\": {comm_cand_vs_pr2:.2}}}",
-        comm_params.msg_wcet_ratio,
-        budget.as_millis(),
-        comm_pr2.json(),
-        comm_incr.json(),
-        show_ratio(comm_iter_vs_pr2, "null"),
-    )
-}
-
-/// The multi-core portfolio sweep: fixed work per worker, wall-clock
-/// measured. `threads: 1` pins every worker's own evaluation to one
-/// thread so the sweep isolates seed-level (portfolio) parallelism
-/// from window parallelism.
-fn section_multicore() -> String {
+/// The non-gating multi-core portfolio sweep: fixed work per worker,
+/// wall-clock measured.
+fn multicore() -> Result<String, String> {
     println!(
         "perfgate (multicore): {PROCESSES} processes / {NODES} nodes / k = {FAULTS}, \
          {MULTICORE_SEEDS} seeds, {MULTICORE_ITERATIONS} iterations per worker, \
          workers {MULTICORE_WORKERS:?}"
     );
-    let mut mc_elapsed_ms: Vec<u128> = Vec::new();
-    let mut mc_candidates: Vec<usize> = Vec::new();
-    let mut mc_rates: Vec<f64> = Vec::new();
-    for &workers in &MULTICORE_WORKERS {
-        let mut candidates = 0usize;
-        let mut elapsed = Duration::ZERO;
-        for seed in 0..MULTICORE_SEEDS {
-            let problem = synthetic_problem(PROCESSES, NODES, FAULTS, Time::from_ms(5), seed);
-            let cfg = SearchConfig {
-                goal: Goal::MinimizeLength,
-                time_limit: None,
-                max_tabu_iterations: MULTICORE_ITERATIONS,
-                threads: 1,
-                ..SearchConfig::default()
-            };
-            let pcfg = PortfolioConfig {
-                workers,
-                epoch_candidates: 2_048,
-                ..PortfolioConfig::default()
-            };
-            let out = optimize_portfolio(&problem, PolicySpace::Mixed, &cfg, &pcfg)
-                .unwrap_or_else(|e| panic!("perfgate multicore portfolio: {e}"));
-            candidates += out.outcome.stats.candidates();
-            elapsed += out.outcome.stats.elapsed;
-        }
-        let rate = candidates as f64 / elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
-        println!(
-            "  {workers} workers: {candidates} candidates in {} ms -> {rate:.1}/s aggregate",
-            elapsed.as_millis()
-        );
-        mc_elapsed_ms.push(elapsed.as_millis());
-        mc_candidates.push(candidates);
-        mc_rates.push(rate);
-    }
-    let mc_scaling_2w = ratio(mc_rates[1], mc_rates[0]);
-    let mc_scaling_4w = ratio(mc_rates[2], mc_rates[0]);
-    let cores = effective_threads(0);
-    let mc_per_core: Vec<String> = MULTICORE_WORKERS
-        .iter()
-        .zip(&mc_rates)
-        .map(|(&w, &r)| format!("{:.1}", r / w.min(cores).max(1) as f64))
+    let problems: Vec<Problem> = (0..MULTICORE_SEEDS)
+        .map(|seed| synthetic_problem(PROCESSES, NODES, FAULTS, MU, seed))
         .collect();
+    let cfg = replay_config(MULTICORE_ITERATIONS);
+    let mut elapsed_ms = Vec::new();
+    let mut candidates = Vec::new();
+    let mut rates = Vec::new();
+    for workers in MULTICORE_WORKERS {
+        let pcfg = PortfolioConfig {
+            workers,
+            epoch_candidates: 2_048,
+            ..PortfolioConfig::default()
+        };
+        let started = Instant::now();
+        let mut scored = 0usize;
+        for problem in &problems {
+            let out = optimize_portfolio(problem, PolicySpace::Mixed, &cfg, &pcfg)
+                .map_err(|e| format!("multicore portfolio, {workers} workers: {e}"))?;
+            scored += out.outcome.stats.candidates();
+        }
+        let elapsed = started.elapsed().as_secs_f64();
+        let rate = scored as f64 / elapsed.max(f64::MIN_POSITIVE);
+        println!("  {workers} workers: {scored} candidates in {elapsed:.2} s -> {rate:.1}/s");
+        elapsed_ms.push(format!("{:.1}", elapsed * 1e3));
+        candidates.push(scored.to_string());
+        rates.push(rate);
+    }
+    let scaling_2w = rates[1] / rates[0];
+    let scaling_4w = rates[2] / rates[0];
+    let cores = effective_threads(0);
     println!(
-        "multicore portfolio ({cores} cores): {mc_scaling_2w:.2}x aggregate candidate rate at \
-         2 workers, {mc_scaling_4w:.2}x at 4 workers \
+        "  scaling ({cores} cores): {scaling_2w:.2}x at 2 workers, {scaling_4w:.2}x at 4 \
          (floor {MULTICORE_FLOOR_4W}x at 4 workers, non-gating)"
     );
-    format!(
-        "\"multicore\": {{\"available_parallelism\": {cores}, \
-         \"iterations_per_worker\": {MULTICORE_ITERATIONS}, \
-         \"seeds\": {MULTICORE_SEEDS}, \"workers\": {MULTICORE_WORKERS:?}, \
-         \"elapsed_ms\": {mc_elapsed_ms:?}, \"candidates\": {mc_candidates:?}, \
-         \"aggregate_candidate_rate\": [{}], \"per_core_candidate_rate\": [{}], \
-         \"scaling_efficiency_2w\": {mc_scaling_2w:.2}, \
-         \"scaling_efficiency_4w\": {mc_scaling_4w:.2}, \
-         \"floor_4w\": {MULTICORE_FLOOR_4W}, \"gating\": false}}",
-        mc_rates
-            .iter()
-            .map(|r| format!("{r:.1}"))
-            .collect::<Vec<_>>()
-            .join(", "),
-        mc_per_core.join(", "),
-    )
+    Ok(format!(
+        "{{\"available_parallelism\": {cores}, \
+         \"iterations_per_worker\": {MULTICORE_ITERATIONS}, \"seeds\": {MULTICORE_SEEDS}, \
+         \"workers\": {MULTICORE_WORKERS:?}, \"elapsed_ms\": [{}], \"candidates\": [{}], \
+         \"aggregate_candidate_rate\": [{}], \"scaling_efficiency_2w\": {scaling_2w:.2}, \
+         \"scaling_efficiency_4w\": {scaling_4w:.2}, \"floor_4w\": {MULTICORE_FLOOR_4W}, \
+         \"gating\": false}}",
+        elapsed_ms.join(", "),
+        candidates.join(", "),
+        join(rates.iter().map(|r| format!("{r:.1}"))),
+    ))
 }
 
-fn run_section(name: &str) -> Option<String> {
-    Some(match name {
-        "occ" => section_occ(),
-        "paper" => section_paper(),
-        "splice" => section_splice(),
-        "comm" => section_comm(),
-        "multicore" => section_multicore(),
-        _ => return None,
-    })
-}
-
-/// Runs every section inside this process (the pre-subprocess
-/// behaviour) — the fallback when the binary cannot re-spawn itself,
-/// and the explicit `FTDES_PERFGATE_SECTION=all` escape hatch.
-fn run_all_in_process() -> Vec<(String, String)> {
-    SECTIONS
-        .iter()
-        .map(|&s| {
-            (
-                s.to_string(),
-                run_section(s).expect("every listed section resolves"),
-            )
-        })
-        .collect()
-}
-
-/// Spawns one child per section (fresh heap each — see the module
-/// docs), falling back to in-process execution if spawning fails.
-fn run_all_sections() -> Vec<(String, String)> {
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("perfgate: cannot locate own binary ({e}); running sections in-process");
-            return run_all_in_process();
-        }
+/// Runs one section in this process and returns its `"name": {...}`
+/// JSON fragment.
+fn run_section(name: &str) -> Result<String, String> {
+    let body = match name {
+        "paper" => measure(name, &paper_section())?,
+        "splice" => measure(name, &splice_section())?,
+        "comm" => measure(name, &comm_section())?,
+        "occ" => measure(name, &occ_section())?,
+        "multicore" => multicore()?,
+        _ => return Err(format!("unknown section '{name}' (valid: {SECTIONS:?})")),
     };
+    Ok(format!("\"{name}\": {body}"))
+}
+
+/// Runs every section in a child process of its own (see the module
+/// docs) and writes `BENCH_tabu.json`.
+fn run_all_sections() -> Result<(), String> {
+    let exe = std::env::current_exe()
+        .map_err(|e| format!("cannot locate own binary to spawn the sections: {e}"))?;
     let mut fragments = Vec::new();
-    for &section in &SECTIONS {
-        let out_path = std::env::temp_dir().join(format!("perfgate_{section}.json"));
-        let status = std::process::Command::new(&exe)
+    for section in SECTIONS {
+        let out_path =
+            std::env::temp_dir().join(format!("perfgate_{}_{section}.json", std::process::id()));
+        let status = Command::new(&exe)
             .env("FTDES_PERFGATE_SECTION", section)
             .env("FTDES_PERFGATE_OUT", &out_path)
-            .status();
-        let ok = matches!(&status, Ok(s) if s.success());
-        if !ok {
-            match status {
-                Ok(s) => panic!("perfgate: section '{section}' failed ({s})"),
-                Err(e) => {
-                    eprintln!(
-                        "perfgate: cannot spawn section '{section}' ({e}); \
-                         running all sections in-process"
-                    );
-                    return run_all_in_process();
-                }
-            }
+            .status()
+            .map_err(|e| format!("cannot spawn section '{section}': {e}"))?;
+        if !status.success() {
+            return Err(format!("section '{section}' failed ({status})"));
         }
         let fragment = std::fs::read_to_string(&out_path)
-            .unwrap_or_else(|e| panic!("perfgate: section '{section}' left no output: {e}"));
+            .map_err(|e| format!("section '{section}' left no output: {e}"))?;
         let _ = std::fs::remove_file(&out_path);
-        fragments.push((section.to_string(), fragment));
+        fragments.push(fragment);
     }
-    fragments
+    let json = format!(
+        "{{\n  \"environment\": {},\n  \"method\": {{\"repeats\": {REPEATS}, \
+         \"threads\": {THREADS}, \"arm_order\": \"alternating\", \
+         \"ratio\": \"time(arm) / time(default), per repeat\"}},\n  {}\n}}\n",
+        environment_json(),
+        fragments.join(",\n  ")
+    );
+    ftdes_bench::write_artifact("BENCH_tabu.json", &json)?;
+    println!("\n{json}");
+    Ok(())
 }
 
-fn main() -> std::process::ExitCode {
-    // Child mode: run one section, write its JSON fragment where the
-    // parent asked, exit.
-    if let Ok(section) = std::env::var("FTDES_PERFGATE_SECTION") {
-        if section != "all" {
-            // The parent-to-child plumbing is not a measurement
-            // setting: keep it out of the recorded environment.
+fn main() -> ExitCode {
+    let result = match std::env::var("FTDES_PERFGATE_SECTION") {
+        // Child mode: run one section and write its JSON fragment where
+        // the parent asked (stdout when run by hand).
+        Ok(section) => {
             let out = std::env::var("FTDES_PERFGATE_OUT");
-            std::env::remove_var("FTDES_PERFGATE_SECTION");
-            std::env::remove_var("FTDES_PERFGATE_OUT");
-            let Some(fragment) = run_section(&section) else {
-                eprintln!("perfgate: unknown section '{section}' (valid: {SECTIONS:?}, all)");
-                return std::process::ExitCode::FAILURE;
-            };
-            if let Ok(out) = out {
-                if let Err(e) = std::fs::write(&out, &fragment) {
-                    eprintln!("perfgate: cannot write section output {out}: {e}");
-                    return std::process::ExitCode::FAILURE;
+            run_section(&section).and_then(|fragment| match out {
+                Ok(out) => std::fs::write(&out, fragment)
+                    .map_err(|e| format!("cannot write section output {out}: {e}")),
+                Err(_) => {
+                    println!("{fragment}");
+                    Ok(())
                 }
-            } else {
-                println!("{fragment}");
-            }
-            return std::process::ExitCode::SUCCESS;
+            })
+        }
+        Err(_) => run_all_sections(),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("perfgate: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quartiles_of_an_odd_count() {
+        assert_eq!(quartiles(&[5.0, 1.0, 3.0, 2.0, 4.0]), [2.0, 3.0, 4.0]);
+        assert_eq!(quartiles(&[7.0]), [7.0, 7.0, 7.0]);
+    }
+
+    #[test]
+    fn quartiles_of_an_even_count_interpolate() {
+        assert_eq!(quartiles(&[4.0, 1.0, 3.0, 2.0]), [1.75, 2.5, 3.25]);
+    }
+
+    #[test]
+    fn replay_alternates_arm_order_and_pairs_ratios_by_repeat() {
+        // Two arms, four repeats, one seed. The first arm of each
+        // repeat pays a warm-up penalty of 5 on top of its true cost
+        // (default 10, denominator 20).
+        let mut order = Vec::new();
+        let samples = replay(2, 4, 1, |arm, _| {
+            let first = order.len() % 2 == 0;
+            order.push(arm);
+            let cost = [10, 20][arm] + if first { 5 } else { 0 };
+            Ok(Duration::from_millis(cost))
+        })
+        .unwrap();
+        assert_eq!(order, [0, 1, 1, 0, 0, 1, 1, 0]);
+        let per_repeat =
+            |arm: usize| -> Vec<Duration> { samples[arm].iter().map(|seeds| seeds[0]).collect() };
+        let ratios = time_ratios(&per_repeat(1), &per_repeat(0));
+        let expected = [20.0 / 15.0, 25.0 / 10.0, 20.0 / 15.0, 25.0 / 10.0];
+        for (got, want) in ratios.iter().zip(expected) {
+            assert!((got - want).abs() < 1e-12, "{ratios:?}");
+        }
+        // Alternation brackets the true ratio 2.0 between the quartiles.
+        let [q1, _, q3] = quartiles(&ratios);
+        assert!(q1 < 2.0 && 2.0 < q3, "[{q1}, {q3}]");
+    }
+
+    #[test]
+    fn replay_interleaves_arms_seed_by_seed() {
+        let mut order = Vec::new();
+        let samples = replay(3, 2, 2, |arm, seed| {
+            order.push((arm, seed));
+            Ok(order.len())
+        })
+        .unwrap();
+        assert_eq!(
+            order,
+            [
+                (0, 0),
+                (1, 0),
+                (2, 0),
+                (0, 1),
+                (1, 1),
+                (2, 1),
+                (2, 0),
+                (1, 0),
+                (0, 0),
+                (2, 1),
+                (1, 1),
+                (0, 1),
+            ]
+        );
+        // Indexed [arm][repeat][seed]: arm 0 ran 1st and 4th, then 9th
+        // and 12th.
+        assert_eq!(samples[0], [[1, 4], [9, 12]]);
+    }
+
+    fn sample(seeds: &[(u64, usize)]) -> Sample {
+        Sample {
+            elapsed: Duration::from_millis(1),
+            seeds: seeds
+                .iter()
+                .map(|&(length_us, candidates)| SeedResult {
+                    length_us,
+                    candidates,
+                })
+                .collect(),
         }
     }
 
-    let fragments = if std::env::var("FTDES_PERFGATE_SECTION").as_deref() == Ok("all") {
-        run_all_in_process()
-    } else {
-        run_all_sections()
-    };
-
-    let ordered: Vec<&str> = ASSEMBLY
-        .iter()
-        .map(|&key| {
-            fragments
-                .iter()
-                .find(|(s, _)| s == key)
-                .map(|(_, f)| f.as_str())
-                .unwrap_or_else(|| panic!("perfgate: section '{key}' produced no fragment"))
-        })
-        .collect();
-    let json = format!("{{\n  {}\n}}\n", ordered.join(",\n  "));
-    if let Err(e) = std::fs::write("BENCH_tabu.json", &json) {
-        eprintln!("perfgate: cannot write BENCH_tabu.json: {e}");
-        return std::process::ExitCode::FAILURE;
+    #[test]
+    fn invariance_allows_candidate_counts_to_differ_across_arms() {
+        let samples = vec![
+            vec![sample(&[(100, 7), (200, 9)]); 2],
+            vec![sample(&[(100, 8), (200, 9)]); 2],
+        ];
+        check_invariance(&["default", "pr1"], &samples).unwrap();
     }
-    println!("\n{json}");
-    std::process::ExitCode::SUCCESS
+
+    #[test]
+    fn invariance_names_the_seed_and_arm_of_a_mismatch() {
+        let across = vec![
+            vec![sample(&[(100, 7), (200, 9)])],
+            vec![sample(&[(100, 7), (201, 9)])],
+        ];
+        let err = check_invariance(&["default", "pr3"], &across).unwrap_err();
+        assert!(err.starts_with("seed 1, arm 'pr3'"), "{err}");
+
+        let repeats = vec![vec![sample(&[(100, 7)]), sample(&[(100, 6)])]];
+        let err = check_invariance(&["default"], &repeats).unwrap_err();
+        assert!(err.starts_with("seed 0, arm 'default', repeat 1"), "{err}");
+    }
 }

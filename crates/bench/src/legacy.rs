@@ -12,9 +12,9 @@
 //!   (`generate_moves`),
 //! * evaluation is strictly sequential and nothing is memoized.
 //!
-//! `perfgate` runs this reference against the current default path
-//! under the same wall-clock budget; the ratio of tabu iterations is
-//! the perf gate's pre/post comparison. Do not "optimize" this module
+//! `perfgate` replays the same fixed-iteration trajectory through this
+//! reference and through the current default path; their time ratio
+//! is the perf gate's pre/post comparison. Do not "optimize" this module
 //! — its purpose is to stay slow the way the original was slow.
 
 use std::time::Instant;

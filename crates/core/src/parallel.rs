@@ -274,16 +274,16 @@ impl WorkerPool {
     {
         let n = items.len();
         // Tiny windows run inline: waking parked workers costs
-        // ~5–11 µs per submission (measured by `parbench`) while a
-        // handful of cached evaluations complete in well under that,
-        // so below the threshold the submitting thread is faster on
-        // its own. The threshold scales with the pool: under two
-        // items per worker, most of the fan-out is wake latency
-        // rather than useful work, so windows narrower than
-        // `threads × 2` stay on the submitting thread. Results are
-        // position-indexed either way, so the deterministic
-        // `(cost, move index)` selection downstream is unaffected by
-        // where the cut lands.
+        // ~5–11 µs per submission (`pool.wakeup_us` in
+        // `benchmark --trace 1`) while a handful of cached
+        // evaluations complete in well under that, so below the
+        // threshold the submitting thread is faster on its own. The
+        // threshold scales with the pool: under two items per worker,
+        // most of the fan-out is wake latency rather than useful
+        // work, so windows narrower than `threads × 2` stay on the
+        // submitting thread. Results are position-indexed either
+        // way, so the deterministic `(cost, move index)` selection
+        // downstream is unaffected by where the cut lands.
         const INLINE_WIDTH: usize = 4;
         if self.threads.min(n) <= 1
             || n <= INLINE_WIDTH

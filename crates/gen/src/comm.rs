@@ -88,7 +88,7 @@ impl CommHeavyParams {
     /// a message/WCET cost ratio of 3, so placements are dominated by
     /// booking thousands of messages into contended TDMA rounds — the
     /// regime where the booking structure dominates per-candidate
-    /// cost (`occbench`, perfgate's `occupancy` gate).
+    /// cost (perfgate's `occ` gate).
     #[must_use]
     pub fn stress(processes: usize) -> Self {
         CommHeavyParams::dense(processes)

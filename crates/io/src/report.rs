@@ -82,6 +82,10 @@ pub struct StatsReport {
     pub evaluations: usize,
     /// Candidate evaluations served from the memoization cache.
     pub cache_hits: usize,
+    /// Bounded candidate evaluations aborted past the incumbent.
+    pub pruned: usize,
+    /// Accepted greedy improvement steps.
+    pub greedy_steps: usize,
     /// Tabu iterations.
     pub tabu_iterations: usize,
     /// Wall-clock milliseconds.
@@ -193,6 +197,8 @@ pub fn solution_report(
         stats: StatsReport {
             evaluations: outcome.stats.evaluations,
             cache_hits: outcome.stats.cache_hits,
+            pruned: outcome.stats.pruned,
+            greedy_steps: outcome.stats.greedy_steps,
             tabu_iterations: outcome.stats.tabu_iterations,
             elapsed_ms: outcome.stats.elapsed.as_millis(),
         },

@@ -67,6 +67,11 @@ fn solve_emits_tables_and_json() {
     assert!(stdout.contains("bus"), "gantt includes a bus row");
     let report = std::fs::read_to_string(&json).expect("json written");
     assert!(report.contains("\"strategy\": \"MXR\""));
+    assert!(report.contains("\"pruned\": "), "stats report pruned");
+    assert!(
+        report.contains("\"greedy_steps\": "),
+        "stats report greedy_steps"
+    );
 }
 
 #[test]

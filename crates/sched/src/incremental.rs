@@ -955,8 +955,8 @@ fn splice_candidate(
         // A spliced placement costs ~3/8 of a replayed one (no
         // ready-list selection or bookkeeping), a booking replay
         // ~1/4, plus a fixed prefill/restore overhead — measured on
-        // the perfgate workloads (`incrprof` reproduces the
-        // comparison).
+        // the perfgate workloads (the `splice` gate's `pr3` arm
+        // tracks the trade-off).
         let splice_cost = splice.n_affected * 3 / 8 + splice.n_rebook / 4 + 4 + n / 8;
         if splice_cost >= pr2_replay {
             return None;

@@ -117,14 +117,6 @@ pub mod validate;
 
 pub use error::SchedError;
 
-/// Micro-bench access to the occupancy booking table (the booking
-/// structures themselves are crate-private engine internals). Not
-/// part of the public API surface.
-#[doc(hidden)]
-pub mod occ_bench {
-    pub use crate::occupancy::OccBench;
-}
-
 pub use incremental::{
     schedule_cost_resumed, schedule_cost_resumed_bus, schedule_cost_spliced, PlacementCheckpoints,
 };

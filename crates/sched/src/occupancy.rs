@@ -402,30 +402,6 @@ impl SlotOccupancy {
     }
 }
 
-/// Thin wrapper exposing the booking table to the `occbench`
-/// micro-benchmark (see `crate::occ_bench`). Hidden from docs; the
-/// real API is the backend knob on `ScheduleOptions`.
-#[doc(hidden)]
-#[derive(Debug, Default)]
-pub struct OccBench(SlotOccupancy);
-
-impl OccBench {
-    #[must_use]
-    pub fn new(backend: OccupancyBackend) -> Self {
-        let mut occ = SlotOccupancy::default();
-        occ.set_backend(backend);
-        OccBench(occ)
-    }
-
-    pub fn clear(&mut self) {
-        self.0.clear();
-    }
-
-    pub fn book(&mut self, slot: usize, round: u64, size: u32, capacity: u32) -> u64 {
-        self.0.book(slot, round, size, capacity)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
