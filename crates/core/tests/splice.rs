@@ -16,13 +16,23 @@
 //!   aborted run's certified lower bound never exceeds the exact cost.
 //! * `search_results_invariant_under_suffix_splice`: whole searches
 //!   walk bit-identical trajectories with the engine on or off.
+//! * `booking_flips_agree_on_every_path`: a move that joins a producer
+//!   with its only consumer (the message stops being booked) or
+//!   separates them (a booking appears) leaves a stale or missing
+//!   entry in the base arrival table; spliced, resumed and full
+//!   evaluation must still agree, exactly and under bounds.
 
 use ftdes_core::moves::MoveTable;
 use ftdes_core::{initial, optimize, Goal, PolicySpace, Problem, SearchConfig, Strategy};
 use ftdes_gen::paper_workload;
 use ftdes_model::architecture::Architecture;
+use ftdes_model::design::{Design, ProcessDesign};
 use ftdes_model::fault::FaultModel;
+use ftdes_model::graph::{Message, ProcessGraph};
+use ftdes_model::ids::{NodeId, ProcessId};
+use ftdes_model::policy::FtPolicy;
 use ftdes_model::time::Time;
+use ftdes_model::wcet::WcetTable;
 use ftdes_sched::{CostOutcome, CostScratch, OccupancyBackend, PlacementCheckpoints, ScheduleCost};
 use ftdes_ttp::config::BusConfig;
 
@@ -358,5 +368,141 @@ fn search_results_invariant_under_suffix_splice() {
         // splice certificates carry different (still certified)
         // values, so the winner-bounded resolution pass may re-check
         // a different set of bounded candidates.
+    }
+}
+
+/// Producer `a` feeds only `b`; `b` and an independent light `d` feed
+/// `c`. Every process runs on every node of three.
+fn flip_problem() -> Problem {
+    let mut g = ProcessGraph::new(0.into());
+    let [a, b, c, d] = [0, 1, 2, 3].map(|_| g.add_process());
+    g.add_edge(a, b, Message::new(2)).unwrap();
+    g.add_edge(b, c, Message::new(3)).unwrap();
+    g.add_edge(d, c, Message::new(2)).unwrap();
+    let mut wcet = WcetTable::new();
+    for (p, ms) in [(a, 20), (b, 30), (c, 10), (d, 4)] {
+        for n in 0..3 {
+            wcet.set(p, NodeId::new(n), Time::from_ms(ms));
+        }
+    }
+    let arch = Architecture::with_node_count(3);
+    let bus = BusConfig::initial(&arch, 4, Time::from_us(2_500)).unwrap();
+    Problem::new(g, arch, wcet, FaultModel::new(1, Time::from_ms(5)), bus)
+}
+
+/// Re-execution designs with process `i` on node `nodes[i]`.
+fn on_nodes(problem: &Problem, nodes: [u32; 4]) -> Design {
+    let fm = problem.fault_model();
+    Design::from_decisions(
+        nodes
+            .iter()
+            .map(|&n| ProcessDesign::new(FtPolicy::reexecution(fm), vec![NodeId::new(n)]).unwrap())
+            .collect(),
+    )
+}
+
+#[test]
+fn booking_flips_agree_on_every_path() {
+    let problem = flip_problem();
+    let (a, b) = (ProcessId::new(0), ProcessId::new(1));
+    // (base nodes, moved process, candidate nodes, what the move does
+    // to the a -> b message).
+    let cases = [
+        (
+            [0, 1, 1, 2],
+            b,
+            [0, 0, 1, 2],
+            "consumer joins producer: booking vanishes",
+        ),
+        (
+            [0, 1, 1, 2],
+            a,
+            [1, 1, 1, 2],
+            "producer joins consumer: booking vanishes",
+        ),
+        (
+            [0, 0, 1, 2],
+            b,
+            [0, 1, 1, 2],
+            "consumer leaves producer: booking appears",
+        ),
+        (
+            [0, 0, 1, 2],
+            a,
+            [2, 0, 1, 2],
+            "producer leaves consumer: booking appears",
+        ),
+    ];
+    let mut core = ftdes_sched::SchedScratch::default();
+    let mut scratch = CostScratch::default();
+    for (base_nodes, moved, cand_nodes, label) in cases {
+        let base = on_nodes(&problem, base_nodes);
+        let cand = on_nodes(&problem, cand_nodes);
+        let mut ckpts = PlacementCheckpoints::new();
+        let base_cost = problem
+            .evaluate_recording(&base, &mut core, Some(&mut ckpts))
+            .unwrap()
+            .cost();
+        let spliced = |scratch: &mut CostScratch, bound| {
+            ftdes_sched::schedule_cost_spliced(
+                problem.graph(),
+                problem.arch(),
+                problem.dense_wcet(),
+                problem.fault_model(),
+                problem.bus(),
+                &cand,
+                moved,
+                problem.schedule_options(),
+                scratch,
+                &ckpts,
+                bound,
+            )
+            .unwrap()
+            .unwrap_or_else(|| panic!("{label}: the splice must engage"))
+        };
+        let full = problem.evaluate_cost(&cand, &mut scratch).unwrap();
+        assert_eq!(
+            spliced(&mut scratch, None),
+            CostOutcome::Exact(full),
+            "{label}"
+        );
+        let resumed = problem
+            .evaluate_cost_resumed(&cand, moved, &mut scratch, &ckpts, None)
+            .unwrap();
+        assert_eq!(resumed, CostOutcome::Exact(full), "{label}");
+
+        let just_under = ScheduleCost {
+            violation: full.violation,
+            length: full.length - Time::from_us(1),
+        };
+        for bound in [
+            full,
+            just_under,
+            base_cost,
+            ScheduleCost {
+                length: full.length / 2,
+                ..full
+            },
+        ] {
+            let outcomes = [
+                problem
+                    .evaluate_cost_bounded(&cand, &mut scratch, Some(bound))
+                    .unwrap(),
+                problem
+                    .evaluate_cost_resumed(&cand, moved, &mut scratch, &ckpts, Some(bound))
+                    .unwrap(),
+                spliced(&mut scratch, Some(bound)),
+            ];
+            for outcome in outcomes {
+                assert_eq!(
+                    outcome.is_exact(),
+                    full <= bound,
+                    "{label}, bound {bound:?}"
+                );
+                if outcome.is_exact() {
+                    assert_eq!(outcome.cost(), full, "{label}, bound {bound:?}");
+                }
+            }
+        }
     }
 }

@@ -34,7 +34,7 @@
 //! 4. **bus-slot perturbation** — each TDMA slot is fed by exactly
 //!    one node, so a slot's occupancy sequence diverges from the
 //!    first differing booking (`slot_dirty`: the moved process's
-//!    nodes' slots, a predecessor whose `needs_bus` decision flips,
+//!    nodes' slots, a predecessor whose bus-booking decision flips,
 //!    or any affected sender). Every booking into a dirty slot at a
 //!    later position may land in a different round, so its remote
 //!    consumers are affected — and the booking itself is **replayed**
@@ -45,9 +45,10 @@
 //! between the base run and a from-scratch run of the candidate, so
 //! the executor restores each dirty node to its segment just before
 //! `node_dirty`, rebuilds each dirty slot's occupancy up to
-//! `slot_dirty`, prefills times / arrivals / completions from the
-//! base recording, and drives [`crate::list::place_process`] — the
-//! one shared placement primitive — over the cone positions only.
+//! `slot_dirty`, prefills finish times, completions and the
+//! `(edge, replica)` arrival table from the base recording (one copy
+//! each), and drives [`crate::list::place_process`] — the one shared
+//! placement primitive — over the cone positions only.
 //! Parity is guarded by the `splice.rs` property tests in
 //! `ftdes-core` (spliced ≡ full bit-identical on random move
 //! sequences).
@@ -61,17 +62,17 @@
 
 use ftdes_model::fault::FaultModel;
 use ftdes_model::graph::ProcessGraph;
-use ftdes_model::ids::{NodeId, ProcessId};
+use ftdes_model::ids::ProcessId;
 use ftdes_model::time::Time;
 use ftdes_ttp::config::BusConfig;
 use ftdes_ttp::medl::MessageTag;
 
 use crate::error::SchedError;
-use crate::incremental::{FloatMove, PlacementCheckpoints};
-use crate::instance::{ExpandedDesign, InstanceId};
+use crate::incremental::{FloatMove, IdShift, PlacementCheckpoints};
+use crate::instance::ExpandedDesign;
 use crate::list::{
-    accumulate_cost, book_scratch, place_process, CostOnly, CostOutcome, SchedScratch,
-    ScheduleOptions,
+    accumulate_cost, arrival_slot, book_scratch, certified_lookahead, place_process, CostOnly,
+    CostOutcome, SchedScratch, ScheduleOptions, UNBOOKED,
 };
 use crate::schedule::ScheduleCost;
 
@@ -96,25 +97,11 @@ pub(crate) struct SpliceScratch {
     /// Whether each process is floated (its recorded slot is
     /// vacated).
     floated: Vec<bool>,
-    /// Whether each candidate instance's arrival list has been
-    /// cleared/prefilled this run (the splice touches only the
-    /// senders its cone reads).
-    touched: Vec<bool>,
     /// Cone size of the last sweep: processes to re-place.
     pub(crate) n_affected: usize,
     /// Spliced senders whose bookings the last sweep flagged for
     /// replay.
     pub(crate) n_rebook: usize,
-}
-
-/// `true` when some instance of `consumer` sits off `sender_node` —
-/// i.e. the edge's message is booked on the bus and its arrival is
-/// read by at least one remote consumer instance.
-fn reads_remote(expanded: &ExpandedDesign, consumer: ProcessId, sender_node: NodeId) -> bool {
-    expanded
-        .of_process(consumer)
-        .iter()
-        .any(|&t| expanded.instance(t).node != sender_node)
 }
 
 /// Work-list entries at/above this bit are float markers: the low
@@ -171,7 +158,8 @@ pub(crate) fn compute_cone(
     // bookings leave their recorded rounds. The moved process's old
     // and new mappings perturb from its recorded slot and its landing
     // respectively; other floats keep their mapping, so both ends use
-    // the span start.
+    // the span start. Each side dirties only the slots its own
+    // expansion books into.
     sp.floats.clear();
     sp.floats.extend_from_slice(floats);
     sp.floats.sort_by_key(|f| f.to);
@@ -181,41 +169,27 @@ pub(crate) fn compute_cone(
         sp.floated[f.process.index()] = true;
         sp.n_affected += 1;
         start = start.min(f.slot).min(f.to);
-        if f.process == moved {
-            // The old mapping's bookings vanish from its recorded
-            // slot on, the new mapping's appear from the landing on —
-            // each side dirties only the slots its own expansion
-            // actually books into.
-            for (exp, from) in [(base, f.slot), (cand, f.to)] {
-                for &rid in exp.of_process(moved) {
-                    let node = exp.instance(rid).node;
-                    sp.node_dirty[node.index()] = sp.node_dirty[node.index()].min(from);
-                    if graph
-                        .outgoing(moved)
-                        .iter()
-                        .any(|&eid| reads_remote(exp, graph.edge(eid).to, node))
-                    {
-                        let slot = slot_of[node.index()] as usize;
-                        sp.slot_dirty[slot] = sp.slot_dirty[slot].min(from);
-                    }
-                }
-            }
+        let (old_from, new_from) = if f.process == moved {
+            (f.slot, f.to)
         } else {
-            let from = f.slot.min(f.to);
-            for &rid in base.of_process(f.process) {
-                let node = base.instance(rid).node;
+            (f.slot.min(f.to), f.slot.min(f.to))
+        };
+        for (exp, from) in [(base, old_from), (cand, new_from)] {
+            for &rid in exp.of_process(f.process) {
+                let node = exp.instance(rid).node;
                 sp.node_dirty[node.index()] = sp.node_dirty[node.index()].min(from);
-                if graph.outgoing(f.process).iter().any(|&eid| {
-                    let to = graph.edge(eid).to;
-                    reads_remote(cand, to, node) || reads_remote(base, to, node)
-                }) {
+                if graph
+                    .outgoing(f.process)
+                    .iter()
+                    .any(|&eid| exp.reads_remote(graph.edge(eid).to, node))
+                {
                     let slot = slot_of[node.index()] as usize;
                     sp.slot_dirty[slot] = sp.slot_dirty[slot].min(from);
                 }
             }
         }
     }
-    // A direct predecessor whose `needs_bus` decision flips books (or
+    // A direct predecessor whose bus-booking decision flips books (or
     // stops booking) at its own, earlier position: its slot's
     // occupancy sequence diverges from there.
     for &eid in graph.incoming(moved) {
@@ -223,7 +197,7 @@ pub(crate) fn compute_cone(
         let pos_f = ckpts.position[from.index()];
         for &rid in base.of_process(from) {
             let nr = base.instance(rid).node;
-            if reads_remote(base, moved, nr) != reads_remote(cand, moved, nr) {
+            if base.reads_remote(moved, nr) != cand.reads_remote(moved, nr) {
                 let slot = slot_of[nr.index()] as usize;
                 sp.slot_dirty[slot] = sp.slot_dirty[slot].min(pos_f);
                 start = start.min(pos_f);
@@ -268,7 +242,7 @@ pub(crate) fn compute_cone(
                 for &rid in base.of_process(s) {
                     let m = base.instance(rid).node;
                     if sp.slot_dirty[slot_of[m.index()] as usize] <= pos_s
-                        && reads_remote(base, p, m)
+                        && base.reads_remote(p, m)
                     {
                         aff = true;
                         break 'edges;
@@ -335,29 +309,9 @@ pub(crate) fn execute(
     let slots = bus.slots_per_round();
 
     // --- Restore state outside the cone. ---
-    let old_start = base
-        .of_process(moved)
-        .first()
-        .map_or(base.len(), |id| id.index());
-    let old_end = old_start + base.of_process(moved).len();
-    let delta_len = cand.len() as i64 - base.len() as i64;
-    let new_end = (old_end as i64 + delta_len) as usize;
-    let remap = move |id: InstanceId| -> InstanceId {
-        debug_assert!(
-            id.index() < old_start || id.index() >= old_end,
-            "the moved process is never spliced"
-        );
-        if id.index() < old_start {
-            id
-        } else {
-            InstanceId::new((id.index() as i64 + delta_len) as u32)
-        }
-    };
-
-    core.times.clear();
-    core.times.resize(cand.len(), Time::ZERO);
-    core.times[..old_start].copy_from_slice(&seg.times[..old_start]);
-    core.times[new_end..].copy_from_slice(&seg.times[old_end..]);
+    let shift = IdShift::new(base, cand, Some(moved));
+    let remap = |id| shift.apply(id);
+    shift.copy(&seg.times, &mut core.times);
     // `wc_times` is write-only during the walk (the rebook branch
     // reads request times straight from the recording): size it, skip
     // the prefill.
@@ -366,27 +320,18 @@ pub(crate) fn execute(
 
     core.completion.clone_from(&seg.completion);
 
-    // Arrival lists are managed cone-selectively *inside* the walk:
-    // the cone reads exactly (a) the spliced (non-affected) producers
-    // of affected consumers — prefilled from the recording, updated
-    // in place by the rebook branch — and (b) re-placed producers,
-    // whose instances push fresh entries and only need clearing.
-    // Everything outside the cone keeps whatever stale entries it
-    // has: never read.
-    if core.arrivals.len() < cand.len() {
-        core.arrivals.resize(cand.len(), Vec::new());
-    }
-    sp.touched.clear();
-    sp.touched.resize(cand.len(), false);
+    // The arrival table is keyed by `(edge, replica)`, so the base's
+    // final table is the candidate's table outside the cone: spliced
+    // producers keep their recorded arrivals (the rebook branch
+    // overwrites the ones it replays), and every re-placed producer's
+    // entries are reset to `UNBOOKED` just before it books afresh.
+    core.arrivals.clone_from(&seg.arrivals);
 
-    core.nodes.truncate(node_count);
-    if core.nodes.len() < node_count {
-        core.nodes.resize_with(node_count, Default::default);
-    }
+    core.nodes.resize_with(node_count, Default::default);
     for node in 0..node_count {
         let dirty = sp.node_dirty[node];
         if dirty == u32::MAX {
-            continue; // never touched by the cone
+            continue; // outside the cone
         }
         let ns = &mut core.nodes[node];
         match seg.nodes[node].prefix(dirty) {
@@ -464,23 +409,14 @@ pub(crate) fn execute(
         }
     }
     let mut running = accumulate_cost(graph, &core.completion);
-    let lookahead = |core: &SchedScratch, running: ScheduleCost| -> ScheduleCost {
-        let mut look = running.length;
-        for (ns, &remaining) in core.nodes[..node_count].iter().zip(&core.look_sum) {
-            if !remaining.is_zero() {
-                look = look.max(ns.avail + remaining + ns.delay_k);
-            }
-        }
-        ScheduleCost {
-            violation: running.violation,
-            length: look,
-        }
-    };
+    // The shared lookahead's computation term alone: the splice arms
+    // no bus-wait bound.
+    core.comm.clear();
     if let Some(b) = bound {
         if running > b {
             return Ok(CostOutcome::LowerBound(running));
         }
-        let certified = lookahead(core, running);
+        let certified = certified_lookahead(bus, core, running);
         if certified > b {
             return Ok(CostOutcome::LowerBound(certified));
         }
@@ -492,20 +428,9 @@ pub(crate) fn execute(
         work,
         floats,
         affected,
-        touched,
         slot_dirty,
         ..
     } = &mut *sp;
-    let prefill_sender = |p: ProcessId, core: &mut SchedScratch, touched: &mut Vec<bool>| {
-        for &sid in base.of_process(p) {
-            let rsid = remap(sid).index();
-            if !touched[rsid] {
-                touched[rsid] = true;
-                core.arrivals[rsid].clear();
-                core.arrivals[rsid].extend_from_slice(seg.arrivals_of(sid.index()));
-            }
-        }
-    };
     for &t in work.iter() {
         let p = if t >= FLOAT_MARK {
             floats[(t & !FLOAT_MARK) as usize].process
@@ -513,18 +438,11 @@ pub(crate) fn execute(
             order[t as usize]
         };
         if affected[p.index()] {
-            for &sid in cand.of_process(p) {
-                let idx = sid.index();
-                if !touched[idx] {
-                    touched[idx] = true;
-                    core.arrivals[idx].clear();
-                }
-            }
-            for &eid in graph.incoming(p) {
-                let s = graph.edge(eid).from;
-                if !affected[s.index()] {
-                    prefill_sender(s, core, touched);
-                }
+            // A stale base arrival of a message the re-placement no
+            // longer books must fail the read check, not be consumed.
+            for &eid in graph.outgoing(p) {
+                let first = arrival_slot(eid, 0, k);
+                core.arrivals[first..=first + k as usize].fill(UNBOOKED);
             }
             place_process(p, graph, cand, bus, k, mu, options, core, &mut CostOnly)?;
             if let Some(b) = bound {
@@ -540,7 +458,7 @@ pub(crate) fn execute(
                 if running > b {
                     return Ok(CostOutcome::LowerBound(running));
                 }
-                let certified = lookahead(core, running);
+                let certified = certified_lookahead(bus, core, running);
                 if certified > b {
                     return Ok(CostOutcome::LowerBound(certified));
                 }
@@ -551,21 +469,19 @@ pub(crate) fn execute(
             // finish — bit-identical, since the sender is outside the
             // cone). The arrival may shift; every remote reader was
             // marked affected by the sweep.
-            prefill_sender(p, core, touched);
             for &sid in base.of_process(p) {
                 let inst = base.instance(sid);
                 let slot = slot_of[inst.node.index()] as usize;
                 if slot_dirty[slot] > t {
                     continue;
                 }
-                let rsid = remap(sid);
                 let earliest = seg.wc_times[sid.index()];
                 for &eid in graph.outgoing(p) {
                     let edge = graph.edge(eid);
-                    // `needs_bus` against the *candidate* expansion: a
-                    // predecessor of the moved process may gain or
-                    // lose its booking with the new mapping.
-                    if !reads_remote(cand, edge.to, inst.node) {
+                    // The booking decision against the *candidate*
+                    // expansion: a predecessor of the moved process may
+                    // gain or lose its booking with the new mapping.
+                    if !cand.reads_remote(edge.to, inst.node) {
                         continue;
                     }
                     let booked = book_scratch(
@@ -576,13 +492,7 @@ pub(crate) fn execute(
                         edge.message.size,
                         MessageTag::new(eid, inst.replica),
                     )?;
-                    match core.arrivals[rsid.index()]
-                        .iter_mut()
-                        .find(|(e, _)| *e == eid)
-                    {
-                        Some(entry) => entry.1 = booked.arrival,
-                        None => core.arrivals[rsid.index()].push((eid, booked.arrival)),
-                    }
+                    core.arrivals[arrival_slot(eid, inst.replica, k)] = booked.arrival;
                 }
             }
         }

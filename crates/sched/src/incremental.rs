@@ -44,17 +44,20 @@
 //!
 //! Instance ids are dense in process order; a move that changes the
 //! replication level of `q` shifts the ids of every process after
-//! `q`. Snapshots store base-expansion ids, so restoring shifts every
-//! id at or past the end of `q`'s base range by the replica-count
-//! delta. `q` itself is never placed inside a restored prefix (the
-//! resume position never exceeds `q`'s base position), so no id of
-//! `q` can appear in a snapshot.
+//! `q`. Snapshots store base-expansion ids in the per-instance finish
+//! times and in the node states (the last placed instance, the slack
+//! registrations), so restoring shifts every id at or past the end of
+//! `q`'s base range by the replica-count delta. `q` itself is never
+//! placed inside a restored prefix (the resume position never exceeds
+//! `q`'s base position), so no id of `q` can appear in a snapshot.
+//! The message arrival table is keyed by `(edge, replica)`, not by
+//! instance id, so it is restored with one copy and no remap.
 
 use ftdes_model::architecture::Architecture;
 use ftdes_model::design::Design;
 use ftdes_model::fault::FaultModel;
 use ftdes_model::graph::ProcessGraph;
-use ftdes_model::ids::{EdgeId, ProcessId};
+use ftdes_model::ids::ProcessId;
 use ftdes_model::time::Time;
 use ftdes_model::wcet::WcetLookup;
 use ftdes_ttp::config::BusConfig;
@@ -140,32 +143,21 @@ struct Snapshot {
     times: Vec<Time>,
     completion: Vec<Time>,
     nodes: Vec<NodeSnap>,
-    /// Flattened message arrivals `(sender instance, edge, arrival)`.
-    arrivals: Vec<(u32, EdgeId, Time)>,
+    /// The `(edge, replica)` arrival table.
+    arrivals: Vec<Time>,
     occupancy: SlotOccupancy,
 }
 
 impl Snapshot {
-    /// Fills this snapshot from the live scratch state, reusing every
-    /// buffer.
-    fn capture(
-        &mut self,
-        scratch: &SchedScratch,
-        placed: usize,
-        instance_count: usize,
-        node_count: usize,
-    ) {
+    /// Fills this snapshot from the live state of a full recording
+    /// run, reusing every buffer.
+    fn capture(&mut self, scratch: &SchedScratch, placed: usize, node_count: usize) {
         self.placed = placed;
         self.remaining_preds.clone_from(&scratch.remaining_preds);
         self.ready.clone_from(&scratch.ready);
-        self.times.clear();
-        self.times
-            .extend_from_slice(&scratch.times[..instance_count]);
+        self.times.clone_from(&scratch.times);
         self.completion.clone_from(&scratch.completion);
-        if self.nodes.len() < node_count {
-            self.nodes.resize_with(node_count, NodeSnap::default);
-        }
-        self.nodes.truncate(node_count);
+        self.nodes.resize_with(node_count, NodeSnap::default);
         for (snap, live) in self.nodes.iter_mut().zip(&scratch.nodes[..node_count]) {
             snap.avail = live.avail;
             snap.last = live.last;
@@ -173,12 +165,7 @@ impl Snapshot {
             snap.frontier.clone_from(&live.frontier);
             snap.delay_k = live.delay_k;
         }
-        self.arrivals.clear();
-        for (sid, entries) in scratch.arrivals[..instance_count].iter().enumerate() {
-            for &(edge, time) in entries {
-                self.arrivals.push((sid as u32, edge, time));
-            }
-        }
+        self.arrivals.clone_from(&scratch.arrivals);
         self.occupancy.clone_from(&scratch.occupancy);
     }
 }
@@ -311,11 +298,12 @@ impl PlacementCheckpoints {
     /// list was updated for position `placed`).
     pub(crate) fn note_placed(
         &mut self,
+        graph: &ProcessGraph,
         p: ProcessId,
         scratch: &SchedScratch,
         placed: usize,
-        n_processes: usize,
     ) {
+        let n_processes = graph.process_count();
         let pos = self.order.len() as u32;
         self.position[p.index()] = pos;
         self.order.push(p);
@@ -335,20 +323,15 @@ impl PlacementCheckpoints {
             if self.snap_len == self.snaps.len() {
                 self.snaps.push(Snapshot::default());
             }
-            self.snaps[self.snap_len].capture(
-                scratch,
-                placed,
-                self.expanded.len(),
-                self.node_count,
-            );
+            self.snaps[self.snap_len].capture(scratch, placed, self.node_count);
             self.snap_len += 1;
         }
         let PlacementCheckpoints {
             segments, expanded, ..
         } = self;
-        segments.note_placed(expanded.of_process(p), expanded, scratch, pos);
+        segments.note_placed(graph, p, expanded, scratch, pos);
         if placed == n_processes {
-            segments.finish(scratch, expanded.len());
+            segments.finish(scratch);
         }
     }
 
@@ -675,28 +658,23 @@ impl PlacementCheckpoints {
     /// The first placement position the given move can affect: the
     /// moved process itself, a direct predecessor whose bus booking
     /// decision flips, or an earlier ready-selection divergence under
-    /// the candidate's priorities.
-    fn resume_limit(&self, graph: &ProcessGraph, moved: ProcessId, design: &Design) -> usize {
+    /// the candidate's priorities. `cand` is the candidate's
+    /// expansion (the base with `moved` patched in).
+    fn resume_limit(&self, graph: &ProcessGraph, moved: ProcessId, cand: &ExpandedDesign) -> usize {
+        let base = &self.expanded;
         let mut limit = self.position[moved.index()] as usize;
-        let new_mapping = &design.decision(moved).mapping;
         for &eid in graph.incoming(moved) {
             let from = graph.edge(eid).from;
             let pos = self.position[from.index()] as usize;
             if pos >= limit {
                 continue;
             }
-            // `needs_bus` at the producer's placement asks: does any
-            // consumer instance sit on a different node? Detect a
-            // flip for any producer instance.
-            let flipped = self.expanded.of_process(from).iter().any(|&rid| {
-                let n_r = self.expanded.instance(rid).node;
-                let old_any = self
-                    .expanded
-                    .of_process(moved)
-                    .iter()
-                    .any(|&q| self.expanded.instance(q).node != n_r);
-                let new_any = new_mapping.iter().any(|&n| n != n_r);
-                old_any != new_any
+            // The producer's placement books the message iff some
+            // consumer instance sits off the producer instance's node.
+            // Detect a flip for any producer instance.
+            let flipped = base.of_process(from).iter().any(|&rid| {
+                let node = base.instance(rid).node;
+                base.reads_remote(moved, node) != cand.reads_remote(moved, node)
             });
             if flipped {
                 limit = pos;
@@ -795,6 +773,7 @@ pub fn schedule_cost_resumed<W: WcetLookup + ?Sized>(
             init_placement(
                 graph,
                 arch.node_count(),
+                fm.k(),
                 &scratch.expanded,
                 &mut scratch.core,
             );
@@ -900,7 +879,7 @@ fn prepare_candidate<W: WcetLookup + ?Sized>(
 
     // The structurally affected prefix: the moved process, or a
     // predecessor whose bus booking flips.
-    Ok(ckpts.resume_limit(graph, moved, design))
+    Ok(ckpts.resume_limit(graph, moved, &scratch.expanded))
 }
 
 /// The splice-engagement step shared by [`schedule_cost_resumed`] and
@@ -1097,7 +1076,13 @@ pub fn schedule_cost_resumed_bus(
         .find(|s| s.placed <= limit);
     let running = match snap {
         None => {
-            init_placement(graph, arch.node_count(), &ckpts.expanded, &mut scratch.core);
+            init_placement(
+                graph,
+                arch.node_count(),
+                fm.k(),
+                &ckpts.expanded,
+                &mut scratch.core,
+            );
             ScheduleCost {
                 violation: Time::ZERO,
                 length: Time::ZERO,
@@ -1132,11 +1117,60 @@ pub fn schedule_cost_resumed_bus(
     .map(CostOutcome::from)
 }
 
+/// The instance-id map from a base expansion to a single-move
+/// candidate's (see "Instance-id remapping" above): ids past the
+/// moved process's base range shift by its replica-count delta.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IdShift {
+    start: usize,
+    end: usize,
+    delta: i64,
+}
+
+impl IdShift {
+    /// The map from `base` to `cand` for a move of `moved`; `None`
+    /// (bus-configuration probes: same design) is the identity.
+    pub(crate) fn new(
+        base: &ExpandedDesign,
+        cand: &ExpandedDesign,
+        moved: Option<ProcessId>,
+    ) -> Self {
+        let range = moved.map_or(&[][..], |m| base.of_process(m));
+        let start = range.first().map_or(base.len(), |id| id.index());
+        let delta = cand.len() as i64 - base.len() as i64;
+        IdShift {
+            start,
+            end: start + range.len(),
+            delta,
+        }
+    }
+
+    /// The candidate id of base instance `id` (never the moved one's).
+    pub(crate) fn apply(self, id: InstanceId) -> InstanceId {
+        assert!(
+            id.index() < self.start || id.index() >= self.end,
+            "the moved process is never restored"
+        );
+        if id.index() < self.start {
+            id
+        } else {
+            InstanceId::new((id.index() as i64 + self.delta) as u32)
+        }
+    }
+
+    /// Rebuilds `dst` as the candidate's copy of the per-instance
+    /// values `src` (base ids); the moved process's entries are zero.
+    pub(crate) fn copy(self, src: &[Time], dst: &mut Vec<Time>) {
+        let new_end = (self.end as i64 + self.delta) as usize;
+        dst.clear();
+        dst.resize((src.len() as i64 + self.delta) as usize, Time::ZERO);
+        dst[..self.start].copy_from_slice(&src[..self.start]);
+        dst[new_end..].copy_from_slice(&src[self.end..]);
+    }
+}
+
 /// Restores `snap` into the live scratch, remapping instance ids from
-/// the base expansion to the candidate's (ids past the moved
-/// process's base range shift by the replica-count delta). With
-/// `moved = None` (bus-configuration probes: same design, same
-/// expansion) the remap is the identity.
+/// the base expansion to the candidate's `expanded` (see [`IdShift`]).
 fn restore_snapshot(
     snap: &Snapshot,
     ckpts: &PlacementCheckpoints,
@@ -1144,38 +1178,11 @@ fn restore_snapshot(
     expanded: &ExpandedDesign,
     core: &mut SchedScratch,
 ) {
-    let old_start = moved.map_or(ckpts.expanded.len(), |moved| {
-        ckpts.expanded.of_process(moved).first().map_or_else(
-            || {
-                // Zero base replicas cannot happen (every decision maps
-                // at least one replica), but fall back to a no-shift
-                // remap.
-                ckpts.expanded.len()
-            },
-            |id| id.index(),
-        )
-    });
-    let old_end = old_start + moved.map_or(0, |moved| ckpts.expanded.of_process(moved).len());
-    let delta = expanded.len() as i64 - ckpts.expanded.len() as i64;
-    let remap = |id: InstanceId| -> InstanceId {
-        if id.index() < old_end && id.index() >= old_start {
-            unreachable!("the moved process is never placed inside a restored prefix");
-        }
-        if id.index() < old_start {
-            id
-        } else {
-            InstanceId::new((id.index() as i64 + delta) as u32)
-        }
-    };
-
+    let shift = IdShift::new(&ckpts.expanded, expanded, moved);
+    let remap = |id| shift.apply(id);
     core.remaining_preds.clone_from(&snap.remaining_preds);
     core.ready.clone_from(&snap.ready);
-
-    core.times.clear();
-    core.times.resize(expanded.len(), Time::ZERO);
-    core.times[..old_start].copy_from_slice(&snap.times[..old_start]);
-    let new_end = (old_end as i64 + delta) as usize;
-    core.times[new_end..].copy_from_slice(&snap.times[old_end..]);
+    shift.copy(&snap.times, &mut core.times);
 
     // Only read by the segment recorder (full runs) and the splice
     // prefill (which fills it itself) — but the placement writes it
@@ -1185,10 +1192,7 @@ fn restore_snapshot(
 
     core.completion.clone_from(&snap.completion);
 
-    core.nodes.truncate(ckpts.node_count);
-    if core.nodes.len() < ckpts.node_count {
-        core.nodes.resize_with(ckpts.node_count, Default::default);
-    }
+    core.nodes.resize_with(ckpts.node_count, Default::default);
     for (live, saved) in core.nodes[..ckpts.node_count].iter_mut().zip(&snap.nodes) {
         live.avail = saved.avail;
         live.last = saved.last.map(remap);
@@ -1204,15 +1208,6 @@ fn restore_snapshot(
         core.placed[p.index()] = true;
     }
 
-    if core.arrivals.len() < expanded.len() {
-        core.arrivals.resize(expanded.len(), Vec::new());
-    }
-    for entry in &mut core.arrivals[..expanded.len()] {
-        entry.clear();
-    }
-    for &(sid, edge, time) in &snap.arrivals {
-        core.arrivals[remap(InstanceId::new(sid)).index()].push((edge, time));
-    }
-
+    core.arrivals.clone_from(&snap.arrivals);
     core.occupancy.clone_from(&snap.occupancy);
 }

@@ -129,6 +129,26 @@ pub struct ExpandedDesign {
     /// `ids[offsets[p] .. offsets[p + 1]]` are the instances of
     /// process `p`.
     offsets: Vec<u32>,
+    /// Per process: the node every instance sits on, or [`SPANS`]
+    /// when its instances span several nodes — the O(1) answer to
+    /// every bus-crossing test of the placement core.
+    sole: Vec<u32>,
+}
+
+/// [`ExpandedDesign`]'s sole-node value of a process whose instances
+/// span more than one node.
+const SPANS: u32 = u32::MAX;
+
+/// The node shared by all of `nodes`, or [`SPANS`].
+fn sole_node<'a>(nodes: impl Iterator<Item = &'a NodeId>) -> u32 {
+    let mut raw = nodes.map(|n| n.raw());
+    raw.next().map_or(SPANS, |first| {
+        if raw.all(|n| n == first) {
+            first
+        } else {
+            SPANS
+        }
+    })
 }
 
 impl ExpandedDesign {
@@ -175,6 +195,7 @@ impl ExpandedDesign {
         self.ids.clear();
         self.offsets.clear();
         self.offsets.push(0);
+        self.sole.clear();
         for (process, decision) in design.iter() {
             debug_assert!(
                 decision.policy.replicas() <= fm.max_replicas(),
@@ -197,6 +218,7 @@ impl ExpandedDesign {
                 self.ids.push(id);
             }
             self.offsets.push(self.instances.len() as u32);
+            self.sole.push(sole_node(decision.mapping.iter()));
         }
         Ok(())
     }
@@ -246,6 +268,7 @@ impl ExpandedDesign {
         let end = self.offsets[process.index() + 1] as usize;
         let delta = saved.len() as i64 - (end - start) as i64;
         self.instances.splice(start..end, saved.iter().copied());
+        self.sole[process.index()] = sole_node(saved.iter().map(|i| &i.node));
         self.fix_tail(process, start + saved.len(), delta);
     }
 
@@ -274,6 +297,7 @@ impl ExpandedDesign {
                 )
             }),
         );
+        self.sole[process.index()] = sole_node(decision.mapping.iter());
         self.fix_tail(process, start + new_len, delta);
     }
 
@@ -323,6 +347,20 @@ impl ExpandedDesign {
         &self.ids[start..end]
     }
 
+    /// `true` when some instance of `consumer` sits off `node`: a
+    /// sender instance on `node` books its message to `consumer` on
+    /// the bus.
+    pub(crate) fn reads_remote(&self, consumer: ProcessId, node: NodeId) -> bool {
+        self.sole[consumer.index()] != node.raw()
+    }
+
+    /// `true` when some instance pair of `from` and `to` sits on
+    /// different nodes: the edge costs bus communication.
+    pub(crate) fn crosses(&self, from: ProcessId, to: ProcessId) -> bool {
+        let node = self.sole[from.index()];
+        node == SPANS || node != self.sole[to.index()]
+    }
+
     /// Total number of instances.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -339,10 +377,11 @@ impl ExpandedDesign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftdes_model::design::ProcessDesign;
     use ftdes_model::graph::Message;
     use ftdes_model::policy::FtPolicy;
     use ftdes_model::wcet::WcetTable;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn setup() -> (ProcessGraph, WcetTable, FaultModel) {
         let mut g = ProcessGraph::new(0.into());
@@ -417,16 +456,6 @@ mod tests {
             Err(SchedError::IneligibleMapping { .. })
         ));
     }
-}
-
-#[cfg(test)]
-mod more_tests {
-    use super::*;
-    use ftdes_model::design::ProcessDesign;
-    use ftdes_model::graph::Message;
-    use ftdes_model::ids::NodeId;
-    use ftdes_model::policy::FtPolicy;
-    use ftdes_model::wcet::WcetTable;
 
     #[test]
     fn instance_ids_are_dense_and_ordered_by_process() {
@@ -519,11 +548,86 @@ mod more_tests {
                 assert_eq!(live, base, "unpatch must restore the base");
             }
         }
-        // A failing patch must leave the expansion untouched.
+        // A failing patch must leave the expansion unchanged.
         let bad = ProcessDesign::new(FtPolicy::reexecution(&fm), vec![NodeId::new(7)]).unwrap();
         assert!(live
             .patch_in_place(ps[1], &bad, &wcet, &fm, &mut saved)
             .is_err());
         assert_eq!(live, base);
+    }
+
+    const PROCESSES: u32 = 5;
+    const NODES: u32 = 4;
+
+    /// `replicas` (1..=3) replicas of `p` on consecutive nodes from
+    /// `first` (k = 2).
+    fn rotated(fm: &FaultModel, p: u32, replicas: u32, first: u32) -> ProcessDesign {
+        let policy = FtPolicy::new(ProcessId::new(p), replicas, fm).unwrap();
+        let mapping = (0..replicas).map(|r| NodeId::new((first + r) % NODES));
+        ProcessDesign::new(policy, mapping.collect()).unwrap()
+    }
+
+    /// The sole-node answers against brute-force scans of the instances.
+    fn check_sole(exp: &ExpandedDesign) {
+        let nodes = |p: u32| -> Vec<NodeId> {
+            let ids = exp.of_process(ProcessId::new(p));
+            ids.iter().map(|&i| exp.instance(i).node).collect()
+        };
+        for a in 0..PROCESSES {
+            for n in (0..NODES).map(NodeId::new) {
+                let remote = nodes(a).iter().any(|&m| m != n);
+                prop_assert_eq!(exp.reads_remote(ProcessId::new(a), n), remote);
+            }
+            for b in 0..PROCESSES {
+                let crosses = nodes(a).iter().any(|&x| nodes(b).iter().any(|&y| x != y));
+                prop_assert_eq!(exp.crosses(ProcessId::new(a), ProcessId::new(b)), crosses);
+            }
+        }
+    }
+
+    proptest! {
+        /// Random `expand_into` / `patch_in_place` / `unpatch`
+        /// sequences, replica-count changes included, keep the
+        /// sole-node cache equal to the instances it summarizes.
+        #[test]
+        fn sole_node_cache_tracks_every_edit(
+            ops in vec((0u8..3, 0..PROCESSES, 1u32..=3, 0..NODES), 1..40),
+        ) {
+            let mut g = ProcessGraph::new(0.into());
+            g.add_processes(PROCESSES as usize);
+            let ms5 = |(p, n)| (ProcessId::new(p), NodeId::new(n), Time::from_ms(5));
+            let all = (0..PROCESSES).flat_map(|p| (0..NODES).map(move |n| (p, n)));
+            let wcet: WcetTable = all.map(ms5).collect();
+            let fm = FaultModel::new(2, Time::from_ms(1));
+            let design = |replicas: u32, first: u32| {
+                Design::from_decisions(
+                    (0..PROCESSES)
+                        .map(|q| rotated(&fm, q, (replicas + q) % 3 + 1, first * q))
+                        .collect(),
+                )
+            };
+            let mut exp = ExpandedDesign::expand(&g, &design(1, 1), &wcet, &fm).unwrap();
+            let mut undo: Vec<(ProcessId, Vec<Instance>)> = Vec::new();
+            for &(op, p, replicas, first) in &ops {
+                match op {
+                    0 => {
+                        exp.expand_into(&g, &design(replicas, first), &wcet, &fm).unwrap();
+                        undo.clear();
+                    }
+                    1 => {
+                        let mut saved = Vec::new();
+                        let d = rotated(&fm, p, replicas, first);
+                        exp.patch_in_place(ProcessId::new(p), &d, &wcet, &fm, &mut saved)
+                            .unwrap();
+                        undo.push((ProcessId::new(p), saved));
+                    }
+                    _ => match undo.pop() {
+                        Some((q, saved)) => exp.unpatch(q, &saved),
+                        None => continue,
+                    },
+                }
+                check_sole(&exp);
+            }
+        }
     }
 }

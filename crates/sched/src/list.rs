@@ -184,8 +184,13 @@ pub struct SchedScratch {
     pub(crate) completion: Vec<Time>,
     /// Per-node placement state.
     pub(crate) nodes: Vec<NodeScratch>,
-    /// Message arrival times per sender instance (delivery lookups).
-    pub(crate) arrivals: Vec<Vec<(EdgeId, Time)>>,
+    /// Message arrival per `(edge, sender replica)`, at
+    /// [`arrival_slot`]. Keyed by replica rather than instance id, so
+    /// a move that changes a replica count shifts no entry. Entries of
+    /// unbooked (local) messages stay [`UNBOOKED`] and are never read:
+    /// a consumer instance reads a sender's arrival only when it sits
+    /// off the sender's node, which is exactly when the sender books.
+    pub(crate) arrivals: Vec<Time>,
     /// Bus-slot occupancy under every backend (the default bit-packed
     /// bitmap, the round-sorted index, the flat table); the run's
     /// `ScheduleOptions::occupancy` selects which one books.
@@ -287,8 +292,9 @@ pub(crate) struct CommLookahead {
 }
 
 impl CommLookahead {
-    /// Disarms the bound (unbounded runs, or the bound disabled).
-    fn clear(&mut self) {
+    /// Disarms the bound (unbounded runs, the bound disabled, or a
+    /// splice).
+    pub(crate) fn clear(&mut self) {
         self.static_floor = Time::ZERO;
         self.armed = false;
     }
@@ -409,9 +415,7 @@ impl CommLookahead {
         };
         let sender = expanded.instance(*single).node;
         expanded
-            .of_process(edge.to)
-            .iter()
-            .any(|&t| expanded.instance(t).node != sender)
+            .reads_remote(edge.to, sender)
             .then_some((sender, edge.message.size))
     }
 
@@ -612,7 +616,7 @@ pub fn list_schedule_recording<W: WcetLookup + ?Sized>(
         bookings: Bookings::for_instances(expanded.len()),
         bus_bookings: Vec::new(),
     };
-    init_placement(graph, arch.node_count(), &expanded, scratch);
+    init_placement(graph, arch.node_count(), fm.k(), &expanded, scratch);
     let outcome = drive_placement(
         graph,
         &expanded,
@@ -742,6 +746,7 @@ pub fn schedule_cost_bounded<W: WcetLookup + ?Sized>(
     init_placement(
         graph,
         arch.node_count(),
+        fm.k(),
         &scratch.expanded,
         &mut scratch.core,
     );
@@ -784,10 +789,11 @@ impl From<RunCost> for CostOutcome {
 }
 
 /// Resets `scratch` to the empty placement state for `expanded`
-/// (position 0 of the instance order).
+/// (position 0 of the instance order) under fault count `k`.
 pub(crate) fn init_placement(
     graph: &ProcessGraph,
     node_count: usize,
+    k: u32,
     expanded: &ExpandedDesign,
     scratch: &mut SchedScratch,
 ) {
@@ -798,23 +804,17 @@ pub(crate) fn init_placement(
     scratch.wc_times.resize(expanded.len(), Time::ZERO);
     scratch.completion.clear();
     scratch.completion.resize(n, Time::ZERO);
-    // Truncate too: bounded runs derive the node count from this
-    // buffer (remaining-work sums, the comm bound's per-slot tables),
-    // and a worker's scratch survives across problems of different
-    // sizes.
-    scratch.nodes.truncate(node_count);
-    if scratch.nodes.len() < node_count {
-        scratch.nodes.resize_with(node_count, NodeScratch::default);
-    }
-    for node in &mut scratch.nodes[..node_count] {
+    // Shrink too: bounded runs derive the node count from this buffer
+    // (remaining-work sums, the comm bound's per-slot tables), and a
+    // worker's scratch survives across problems of different sizes.
+    scratch.nodes.resize_with(node_count, NodeScratch::default);
+    for node in &mut scratch.nodes {
         node.reset();
     }
-    if scratch.arrivals.len() < expanded.len() {
-        scratch.arrivals.resize(expanded.len(), Vec::new());
-    }
-    for entry in &mut scratch.arrivals[..expanded.len()] {
-        entry.clear();
-    }
+    scratch.arrivals.clear();
+    scratch
+        .arrivals
+        .resize(graph.edge_count() * (k as usize + 1), UNBOOKED);
     scratch.occupancy.clear();
     scratch.placed.clear();
     scratch.placed.resize(n, false);
@@ -912,7 +912,7 @@ pub(crate) fn drive_placement<S: PlacementSink>(
             }
         }
         if let Some(rec) = recorder.as_deref_mut() {
-            rec.note_placed(p, scratch, scheduled, n);
+            rec.note_placed(graph, p, scratch, scheduled);
         }
         if let Some(bound) = bound {
             for &sid in expanded.of_process(p) {
@@ -1132,11 +1132,9 @@ pub(crate) fn place_process<S: PlacementSink>(
                 let time = if local {
                     scratch.times[q.index()]
                 } else {
-                    scratch.arrivals[q.index()]
-                        .iter()
-                        .find(|(e, _)| *e == eid)
-                        .expect("remote sender was booked at placement")
-                        .1
+                    let arrival = scratch.arrivals[arrival_slot(eid, qi.replica, k)];
+                    assert!(arrival != UNBOOKED, "remote sender was booked at placement");
+                    arrival
                 };
                 // Killing a local sender burns node time: all its
                 // rollback re-runs (the recovery profile's per-fault
@@ -1256,11 +1254,7 @@ pub(crate) fn place_process<S: PlacementSink>(
         // --- Book outgoing messages (transparent timing). ---
         for &eid in graph.outgoing(p) {
             let edge = graph.edge(eid);
-            let needs_bus = expanded
-                .of_process(edge.to)
-                .iter()
-                .any(|&t| expanded.instance(t).node != node);
-            if needs_bus {
+            if expanded.reads_remote(edge.to, node) {
                 let booked = book_scratch(
                     bus,
                     &mut scratch.occupancy,
@@ -1269,13 +1263,23 @@ pub(crate) fn place_process<S: PlacementSink>(
                     edge.message.size,
                     MessageTag::new(eid, inst.replica),
                 )?;
-                scratch.arrivals[sid.index()].push((eid, booked.arrival));
+                scratch.arrivals[arrival_slot(eid, inst.replica, k)] = booked.arrival;
                 sink.message_booked(eid, sid, booked);
             }
         }
     }
     Ok(())
 }
+
+/// The [`SchedScratch::arrivals`] entry of `edge`'s message from
+/// sender replica `replica` under fault count `k` (at most `k + 1`
+/// replicas, so each edge owns `k + 1` consecutive entries).
+pub(crate) fn arrival_slot(edge: EdgeId, replica: u32, k: u32) -> usize {
+    edge.index() * (k as usize + 1) + replica as usize
+}
+
+/// The [`SchedScratch::arrivals`] value of a message nobody booked.
+pub(crate) const UNBOOKED: Time = Time::MAX;
 
 /// Keeps the Pareto frontier: for every spent level only the latest
 /// finish, and drops entries dominated by a cheaper-or-equal one.

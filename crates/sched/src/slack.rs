@@ -174,7 +174,7 @@ impl SlackAccount {
     /// Rewrites every registered instance id through `f` — restoring
     /// a checkpoint into an expansion whose ids are shifted past the
     /// moved process. Entry order (and therefore every delay query)
-    /// is untouched.
+    /// stays the same.
     pub(crate) fn remap_ids(&mut self, f: impl Fn(InstanceId) -> InstanceId) {
         for e in &mut self.entries {
             e.2 = f(e.2);
